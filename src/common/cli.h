@@ -82,8 +82,9 @@ struct ExperimentFlagSet {
   std::string run_id;
   bool resume = false;
   /// Lease time-to-live in milliseconds for checkpointed runs
-  /// (--lease-ttl): a claimed lease not completed or heartbeat-extended
-  /// within this budget is reclaimed and recomputed. Must be > 0.
+  /// (--lease-ttl): a lease claimed by a remote worker and not completed or
+  /// heartbeat-extended within this budget is reclaimed and recomputed.
+  /// Must be > 0.
   std::uint64_t lease_ttl_ms = 300'000;
   /// Matrix-free KLE solve (--matrix-free): Lanczos runs on the
   /// hierarchical ACA-compressed Galerkin operator instead of assembling

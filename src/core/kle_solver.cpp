@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <memory>
+#include <optional>
 #include <string>
+#include <vector>
 
 #include "common/error.h"
-#include "linalg/blas.h"
 #include "linalg/lanczos.h"
 #include "linalg/symmetric_eigen.h"
 #include "obs/metrics.h"
@@ -118,12 +120,6 @@ linalg::Matrix assemble_checked(const mesh::TriMesh& mesh,
   return b;
 }
 
-linalg::SymmetricEigenResult dense_eigensolve(const linalg::Matrix& b) {
-  obs::Span dense_span("linalg.dense_eigen");
-  obs::counter("sckl.linalg.dense_eigen.solves").add(1);
-  return linalg::symmetric_eigen(b);
-}
-
 linalg::LanczosOptions lanczos_options_for(const KleOptions& options,
                                            std::size_t n, std::size_t m) {
   linalg::LanczosOptions lanczos;
@@ -142,91 +138,15 @@ linalg::LanczosOptions lanczos_options_for(const KleOptions& options,
   return lanczos;
 }
 
-// The kMatrixFree eigensolve: hierarchical ACA operator, then the exact
-// on-the-fly matvec, then (small n only) the assembled dense solve.
-linalg::SymmetricEigenResult solve_matrix_free(
-    const mesh::TriMesh& mesh, const kernels::CovarianceKernel& kernel,
-    const KleOptions& options, std::size_t n, std::size_t m,
-    KleSolveInfo* info) {
-  require(options.quadrature == QuadratureRule::kCentroid1,
-          "solve_kle: the matrix-free path evaluates centroid-rule entries "
-          "on the fly and supports no other quadrature");
-  obs::counter("sckl.core.kle_matfree_solves").add(1);
-  const linalg::LanczosOptions lanczos = lanczos_options_for(options, n, m);
-  if (info != nullptr) info->used = KleBackend::kLanczos;
-
-  // Stage 1: hierarchical compression. kOverloaded (memory budget) and
-  // kNoConvergence degrade to the exact matvec; anything else is a real
-  // error and propagates.
-  {
-    linalg::LanczosInfo lanczos_info;
-    try {
-      if (info != nullptr) info->hmat_attempted = true;
-      const std::unique_ptr<linalg::HMatrix> hmat =
-          build_hmat_operator(mesh, kernel, options.matfree);
-      if (info != nullptr) info->hmat = hmat->stats();
-      linalg::SymmetricEigenResult eigen =
-          linalg::lanczos_largest(*hmat, lanczos, &lanczos_info);
-      if (info != nullptr) {
-        info->lanczos = lanczos_info;
-        info->operator_used = "hmat";
-      }
-      return eigen;
-    } catch (const Error& e) {
-      if (e.code() != ErrorCode::kNoConvergence &&
-          e.code() != ErrorCode::kOverloaded)
-        throw;
-      if (info != nullptr) {
-        info->lanczos = lanczos_info;
-        info->hmat_failed = true;
-        info->hmat_failure_reason = e.what();
-      }
-      obs::counter("sckl.core.kle_matfree_fallbacks").add(1);
-    }
-  }
-
-  // Stage 2: exact matvec — same memory envelope, O(n^2) kernel
-  // evaluations per iteration instead of the compressed apply.
-  {
-    const ExactKernelOperator exact(mesh, kernel,
-                                    options.matfree.num_threads);
-    linalg::LanczosInfo lanczos_info;
-    try {
-      linalg::SymmetricEigenResult eigen =
-          linalg::lanczos_largest(exact, lanczos, &lanczos_info);
-      if (info != nullptr) {
-        info->lanczos = lanczos_info;
-        info->operator_used = "exact";
-      }
-      return eigen;
-    } catch (const Error& e) {
-      if (e.code() != ErrorCode::kNoConvergence) throw;
-      if (info != nullptr) {
-        info->lanczos = lanczos_info;
-        info->fallback = true;
-        info->fallback_reason = e.what();
-      }
-      obs::counter("sckl.core.kle_fallbacks").add(1);
-      // The dense stage allocates 8 n^2 bytes — the exact thing this mode
-      // exists to avoid. Refuse beyond the configured ceiling.
-      if (n > options.matfree.dense_fallback_max_n)
-        throw Error(
-            "solve_kle: matrix-free Lanczos did not converge and n = " +
-                std::to_string(n) + " exceeds dense_fallback_max_n = " +
-                std::to_string(options.matfree.dense_fallback_max_n) +
-                " (refusing the n^2 dense fallback); original failure: " +
-                e.what(),
-            ErrorCode::kNoConvergence);
-    }
-  }
-
-  // Stage 3: assembled dense solve (small n only).
-  if (info != nullptr) {
-    info->used = KleBackend::kDense;
-    info->operator_used = "dense";
-  }
-  return dense_eigensolve(assemble_checked(mesh, kernel, options.quadrature));
-}
+/// One rung of the eigensolve ladder: Lanczos on the operator `build`
+/// returns. `name` is what KleSolveInfo::operator_used reports when the
+/// rung produces the result; `absorbs_overload` also lets a memory-budget
+/// failure (kOverloaded) move down the ladder, besides kNoConvergence.
+struct LanczosRung {
+  const char* name;
+  std::function<std::unique_ptr<linalg::KernelOperator>()> build;
+  bool absorbs_overload;
+};
 
 }  // namespace
 
@@ -238,47 +158,101 @@ KleResult solve_kle(const mesh::TriMesh& mesh,
   require(m > 0, "solve_kle: need at least one eigenpair");
   obs::Span span("core.solve_kle");
   obs::counter("sckl.core.kle_solves").add(1);
-  if (info != nullptr) {
-    *info = KleSolveInfo{};
-    info->requested = options.backend;
-  }
+  KleSolveInfo scratch_info;
+  KleSolveInfo& telemetry = info != nullptr ? *info : scratch_info;
+  telemetry = KleSolveInfo{};
+  telemetry.requested = options.backend;
 
-  linalg::SymmetricEigenResult eigen;
-  if (options.operator_mode == OperatorMode::kMatrixFree) {
-    obs::Span eigensolve_span("core.eigensolve");
-    eigen = solve_matrix_free(mesh, kernel, options, n, m, info);
+  // The ordered ladder of Lanczos operators, followed by the dense solve:
+  //   assembled, Lanczos backend: [dense B]
+  //   matrix-free:                [H-matrix, exact matvec]
+  //   assembled, dense backend:   []
+  const bool matrix_free = options.operator_mode == OperatorMode::kMatrixFree;
+  linalg::Matrix b;  // the assembled matrix; built lazily when matrix-free
+  std::vector<LanczosRung> ladder;
+  if (matrix_free) {
+    require(options.quadrature == QuadratureRule::kCentroid1,
+            "solve_kle: the matrix-free path evaluates centroid-rule entries "
+            "on the fly and supports no other quadrature");
+    obs::counter("sckl.core.kle_matfree_solves").add(1);
+    ladder.push_back({"hmat",
+                      [&]() -> std::unique_ptr<linalg::KernelOperator> {
+                        telemetry.hmat_attempted = true;
+                        std::unique_ptr<linalg::HMatrix> hmat =
+                            build_hmat_operator(mesh, kernel, options.matfree);
+                        telemetry.hmat = hmat->stats();
+                        return hmat;
+                      },
+                      true});
+    ladder.push_back({"exact",
+                      [&]() -> std::unique_ptr<linalg::KernelOperator> {
+                        return std::make_unique<ExactKernelOperator>(
+                            mesh, kernel, options.matfree.num_threads);
+                      },
+                      false});
   } else {
-    const linalg::Matrix b =
-        assemble_checked(mesh, kernel, options.quadrature);
+    b = assemble_checked(mesh, kernel, options.quadrature);
+    const bool lanczos = options.backend == KleBackend::kLanczos ||
+                         (options.backend == KleBackend::kAuto && m * 3 < n);
+    if (lanczos)
+      ladder.push_back({"dense",
+                        [&]() -> std::unique_ptr<linalg::KernelOperator> {
+                          return std::make_unique<linalg::DenseKernelOperator>(
+                              b);
+                        },
+                        false});
+  }
+  telemetry.used = ladder.empty() ? KleBackend::kDense : KleBackend::kLanczos;
 
-    KleBackend backend = options.backend;
-    if (backend == KleBackend::kAuto)
-      backend = (m * 3 < n) ? KleBackend::kLanczos : KleBackend::kDense;
-    if (info != nullptr) info->used = backend;
-
-    obs::Span eigensolve_span("core.eigensolve");
-    if (backend == KleBackend::kLanczos) {
-      const linalg::LanczosOptions lanczos = lanczos_options_for(options, n, m);
-      linalg::LanczosInfo lanczos_info;
-      try {
-        eigen = linalg::lanczos_largest(b, lanczos, &lanczos_info);
-        if (info != nullptr) info->lanczos = lanczos_info;
-      } catch (const Error& e) {
-        // Fallback chain: a non-convergent Lanczos costs us the fast path,
-        // not the result — rerun with the O(n^3) dense solver and record why.
-        if (e.code() != ErrorCode::kNoConvergence) throw;
-        if (info != nullptr) {
-          info->lanczos = lanczos_info;
-          info->used = KleBackend::kDense;
-          info->fallback = true;
-          info->fallback_reason = e.what();
-        }
+  obs::Span eigensolve_span("core.eigensolve");
+  const linalg::LanczosOptions lanczos = lanczos_options_for(options, n, m);
+  std::optional<linalg::SymmetricEigenResult> eigen;
+  std::string failure;  // what() of the last absorbed Lanczos failure
+  for (std::size_t rung = 0; rung < ladder.size() && !eigen; ++rung) {
+    linalg::LanczosInfo lanczos_info;
+    try {
+      const std::unique_ptr<linalg::KernelOperator> op = ladder[rung].build();
+      eigen = linalg::lanczos_largest(*op, lanczos, &lanczos_info);
+      telemetry.operator_used = ladder[rung].name;
+    } catch (const Error& e) {
+      if (e.code() != ErrorCode::kNoConvergence &&
+          !(ladder[rung].absorbs_overload &&
+            e.code() == ErrorCode::kOverloaded))
+        throw;
+      failure = e.what();
+      // A hop to the next operator is a matrix-free fallback; a hop off
+      // the last rung is the Lanczos -> dense fallback.
+      if (rung + 1 < ladder.size()) {
+        telemetry.hmat_failed = true;
+        telemetry.hmat_failure_reason = failure;
+        obs::counter("sckl.core.kle_matfree_fallbacks").add(1);
+      } else {
+        telemetry.fallback = true;
+        telemetry.fallback_reason = failure;
         obs::counter("sckl.core.kle_fallbacks").add(1);
-        eigen = dense_eigensolve(b);
       }
-    } else {
-      eigen = dense_eigensolve(b);
     }
+    telemetry.lanczos = lanczos_info;
+  }
+  if (!eigen) {
+    if (matrix_free) {
+      // The dense stage allocates 8 n^2 bytes — the exact thing this mode
+      // exists to avoid. Refuse beyond the configured ceiling.
+      if (n > options.matfree.dense_fallback_max_n)
+        throw Error(
+            "solve_kle: matrix-free Lanczos did not converge and n = " +
+                std::to_string(n) + " exceeds dense_fallback_max_n = " +
+                std::to_string(options.matfree.dense_fallback_max_n) +
+                " (refusing the n^2 dense fallback); original failure: " +
+                failure,
+            ErrorCode::kNoConvergence);
+      b = assemble_checked(mesh, kernel, options.quadrature);
+    }
+    telemetry.used = KleBackend::kDense;
+    telemetry.operator_used = "dense";
+    obs::Span dense_span("linalg.dense_eigen");
+    obs::counter("sckl.linalg.dense_eigen.solves").add(1);
+    eigen = linalg::symmetric_eigen(b);
   }
 
   // Un-scale: d = Phi^{-1/2} u, i.e. d_i = u_i / sqrt(a_i).
@@ -286,16 +260,14 @@ KleResult solve_kle(const mesh::TriMesh& mesh,
   for (std::size_t i = 0; i < n; ++i) {
     const double inv_root = 1.0 / std::sqrt(mesh.area(i));
     for (std::size_t j = 0; j < m; ++j)
-      coefficients(i, j) = eigen.vectors(i, j) * inv_root;
+      coefficients(i, j) = eigen->vectors(i, j) * inv_root;
   }
-  linalg::Vector values(eigen.values.begin(), eigen.values.begin() + m);
+  linalg::Vector values(eigen->values.begin(), eigen->values.begin() + m);
   KleResult result(mesh, std::move(values), std::move(coefficients));
   if (result.clamped_count() > 0)
     obs::counter("sckl.core.clamped_eigenvalues").add(result.clamped_count());
-  if (info != nullptr) {
-    info->clamped_eigenvalues = result.clamped_count();
-    info->clamped_magnitude = result.clamped_magnitude();
-  }
+  telemetry.clamped_eigenvalues = result.clamped_count();
+  telemetry.clamped_magnitude = result.clamped_magnitude();
   return result;
 }
 

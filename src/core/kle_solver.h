@@ -56,10 +56,10 @@ struct KleOptions {
   MatfreeOptions matfree;  // tuning of the kMatrixFree path
 };
 
-/// Telemetry of one solve_kle() call: which backend actually produced the
-/// result, whether the Lanczos -> dense fallback chain fired and why, and
-/// the negative-eigenvalue clamp accounting of the returned spectrum. Pass
-/// the optional out-parameter to record it; solving is unaffected.
+/// Telemetry of one solve_kle() call: which backend and operator actually
+/// produced the result, which rungs of the fallback ladder fired and why,
+/// and the negative-eigenvalue clamp accounting of the returned spectrum.
+/// Pass the optional out-parameter to record it; solving is unaffected.
 struct KleSolveInfo {
   KleBackend requested = KleBackend::kAuto;  // backend the caller asked for
   KleBackend used = KleBackend::kDense;      // backend that produced λ, d
@@ -70,7 +70,10 @@ struct KleSolveInfo {
   double clamped_magnitude = 0.0;       // total magnitude removed by clamping
 
   // Matrix-free telemetry (operator_mode == kMatrixFree only).
-  std::string operator_used;        // "hmat", "exact", or "dense"
+  // Operator that produced λ, d: "hmat", "exact", or "dense" (the
+  // assembled matrix, through Lanczos or the dense solve). Set in both
+  // operator modes.
+  std::string operator_used;
   bool hmat_attempted = false;      // a hierarchical build was tried
   bool hmat_failed = false;         // it failed; chain moved to exact matvec
   std::string hmat_failure_reason;  // what() of that failure
@@ -161,15 +164,16 @@ class KleResult {
 ///
 /// Resilience: a Galerkin matrix containing NaN/Inf is rejected up front
 /// (sckl::Error, code kNonFinite) instead of letting NaN propagate into the
-/// spectrum. When the Lanczos backend fails to converge (kNoConvergence),
-/// the solve is retried with the dense backend and the fallback is recorded
-/// in `info` — callers lose speed, not the answer.
-///
-/// With operator_mode == kMatrixFree the fallback chain is: hierarchical
-/// ACA operator -> exact on-the-fly matvec -> assembled dense solve, where
-/// the final dense stage only engages when n <= matfree.dense_fallback_max_n
-/// (above that the solve throws rather than allocate n^2 doubles). Each hop
-/// is recorded in `info` (hmat_failed / fallback / operator_used).
+/// spectrum. The eigensolve is one ordered ladder: Lanczos on each operator
+/// in turn, then the dense solve of the assembled matrix. The ladder is
+/// [assembled matrix] for the Lanczos backend, [] for the dense backend,
+/// and [hierarchical ACA operator, exact on-the-fly matvec] in
+/// kMatrixFree mode. A rung that fails with kNoConvergence (or, for the
+/// ACA operator, kOverloaded: its memory budget) hands over to the next —
+/// callers lose speed, not the answer. In kMatrixFree mode the final dense
+/// stage only engages when n <= matfree.dense_fallback_max_n (above that
+/// the solve throws rather than allocate n^2 doubles). Each hop is
+/// recorded in `info` (hmat_failed / fallback / operator_used).
 KleResult solve_kle(const mesh::TriMesh& mesh,
                     const kernels::CovarianceKernel& kernel,
                     const KleOptions& options = {},

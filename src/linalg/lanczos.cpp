@@ -194,31 +194,6 @@ SymmetricEigenResult lanczos_largest(const KernelOperator& op,
   return result;
 }
 
-namespace {
-
-// Closure adapter so legacy callers keep the MatVec signature while the
-// iteration itself only ever sees KernelOperator.
-class FunctionOperator final : public KernelOperator {
- public:
-  FunctionOperator(const MatVec& apply, std::size_t n)
-      : apply_(apply), n_(n) {}
-  std::size_t dim() const override { return n_; }
-  void apply(const Vector& x, Vector& y) const override { apply_(x, y); }
-  const char* name() const override { return "closure"; }
-
- private:
-  const MatVec& apply_;
-  std::size_t n_;
-};
-
-}  // namespace
-
-SymmetricEigenResult lanczos_largest(const MatVec& apply, std::size_t n,
-                                     const LanczosOptions& options,
-                                     LanczosInfo* info) {
-  return lanczos_largest(FunctionOperator(apply, n), options, info);
-}
-
 SymmetricEigenResult lanczos_largest(const Matrix& a,
                                      const LanczosOptions& options,
                                      LanczosInfo* info) {

@@ -3,7 +3,7 @@
 //
 // The paper computes only the first 200 eigenpairs of the n = 1546 Galerkin
 // matrix (MATLAB eigs, 11.2 s); this is our equivalent fast path. The
-// operator is supplied as a matvec closure so both dense matrices and
+// operator is supplied as a KernelOperator so both dense matrices and
 // matrix-free kernels (K(c_i, c_k) sqrt(a_i a_k) evaluated on the fly) can
 // be used without materializing n^2 storage.
 //
@@ -17,15 +17,11 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 
 #include "linalg/kernel_operator.h"
 #include "linalg/symmetric_eigen.h"
 
 namespace sckl::linalg {
-
-/// y = A * x for a symmetric operator of dimension n.
-using MatVec = std::function<void(const Vector& x, Vector& y)>;
 
 /// Options controlling the Lanczos iteration.
 struct LanczosOptions {
@@ -59,15 +55,9 @@ struct LanczosInfo {
 /// Eigenvalues descend; column j of `vectors` holds the Ritz vector for
 /// values[j]. Throws sckl::Error (code kNoConvergence) when the subspace
 /// limit is reached and the best-effort residual check fails. This is the
-/// one Lanczos implementation — the overloads below only adapt their input
-/// into a KernelOperator, so dense matrices, on-the-fly kernel matvecs, and
-/// hierarchical compressions all run the identical iteration.
+/// one Lanczos implementation — dense matrices, on-the-fly kernel matvecs,
+/// and hierarchical compressions all run the identical iteration.
 SymmetricEigenResult lanczos_largest(const KernelOperator& op,
-                                     const LanczosOptions& options = {},
-                                     LanczosInfo* info = nullptr);
-
-/// Convenience overload for a matvec closure of dimension n.
-SymmetricEigenResult lanczos_largest(const MatVec& apply, std::size_t n,
                                      const LanczosOptions& options = {},
                                      LanczosInfo* info = nullptr);
 

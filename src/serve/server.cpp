@@ -409,13 +409,15 @@ void Server::worker_loop() {
       batch.push_back(std::move(queue_.front()));
       queue_.pop_front();
 
-      Request& head = batch.front();
-      if (head.type == MessageType::kSampleBlock && options_.batch_limit > 1) {
+      // Copied, not referenced: push_back below may reallocate `batch`.
+      const MessageType head_type = batch.front().type;
+      const std::uint64_t head_key = batch.front().batch_key;
+      if (head_type == MessageType::kSampleBlock && options_.batch_limit > 1) {
         const auto collect = [&] {
           for (auto it = queue_.begin();
                it != queue_.end() && batch.size() < options_.batch_limit;) {
             if (it->type == MessageType::kSampleBlock &&
-                it->batch_key == head.batch_key) {
+                it->batch_key == head_key) {
               batch.push_back(std::move(*it));
               it = queue_.erase(it);
             } else {

@@ -95,7 +95,6 @@ McSstaOptions ExperimentPipeline::mc_options() const {
   // numbers) tightens the e_mu / e_sigma comparison.
   options.seed = config_.seed + 1000;
   options.num_threads = config_.num_threads;
-  options.lease_ttl_ms = config_.lease_ttl_ms;
   if (config_.mc_block_size > 0) options.block_size = config_.mc_block_size;
   return options;
 }
@@ -210,6 +209,7 @@ KleRunOutcome ExperimentPipeline::run_kle(const KleRunRequest& request) {
   if (config_.mc_lease_blocks > 0) run.lease_blocks = config_.mc_lease_blocks;
   run.share_coordinator = request.share_coordinator;
   run.local_fallback_seconds = request.local_fallback_seconds;
+  run.lease_ttl_ms = config_.lease_ttl_ms;
   outcome.checkpointed = true;
   outcome.ssta = run_checkpointed_monte_carlo_ssta(*engine_, samplers, options,
                                                    run, &outcome.mc_run);

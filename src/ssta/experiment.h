@@ -62,9 +62,10 @@ struct ExperimentConfig {
   /// cancelled earlier run) instead of rejecting it.
   bool resume = false;
 
-  /// Lease time-to-live for checkpointed runs (--lease-ttl). A claimed
-  /// lease not completed or heartbeat-extended within this budget is
-  /// reclaimed and recomputed deterministically.
+  /// Lease time-to-live for checkpointed runs (--lease-ttl), passed on as
+  /// McRunOptions::lease_ttl_ms. A lease claimed by a remote worker and not
+  /// completed or heartbeat-extended within this budget is reclaimed and
+  /// recomputed deterministically.
   std::uint64_t lease_ttl_ms = 300'000;
   /// Checkpointing geometry: samples per block and blocks per lease for
   /// the checkpointed runner (0 = keep the McSstaOptions/McRunOptions

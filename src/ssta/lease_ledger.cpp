@@ -1,5 +1,7 @@
 #include "ssta/lease_ledger.h"
 
+#include <utility>
+
 #include "common/error.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -49,7 +51,8 @@ bool LedgerHeader::operator==(const LedgerHeader& other) const {
 }
 
 LeaseCoordinator::LeaseCoordinator(std::vector<Lease> leases,
-                                   store::RecordLog log, double ttl_seconds,
+                                   std::optional<store::RecordLog> log,
+                                   double ttl_seconds,
                                    std::size_t num_endpoints,
                                    McRunStats& stats)
     : leases_(std::move(leases)),
@@ -64,11 +67,9 @@ std::size_t LeaseCoordinator::claim() {
   const Clock::time_point now = Clock::now();
   for (std::size_t l = 0; l < leases_.size(); ++l) {
     Lease& lease = leases_[l];
-    if (lease.state == LeaseState::kClaimed && now >= lease.expiry)
-      expire_locked(lease);
+    if (stale(lease, now)) expire_locked(lease);
     if (lease.state == LeaseState::kAvailable) {
       lease.state = LeaseState::kClaimed;
-      lease.expiry = now + ttl_;
       lease.owner = 0;
       ++stats_.leases_claimed;
       obs::counter("sckl.ssta.mc.leases_claimed").add(1);
@@ -86,8 +87,7 @@ std::vector<ClaimedLease> LeaseCoordinator::claim_remote(
   const Clock::time_point now = Clock::now();
   for (std::size_t l = 0; l < leases_.size() && out.size() < max_leases; ++l) {
     Lease& lease = leases_[l];
-    if (lease.state == LeaseState::kClaimed && now >= lease.expiry)
-      expire_locked(lease);
+    if (stale(lease, now)) expire_locked(lease);
     if (lease.state != LeaseState::kAvailable) continue;
     lease.state = LeaseState::kClaimed;
     lease.expiry = now + ttl_;
@@ -101,17 +101,16 @@ std::vector<ClaimedLease> LeaseCoordinator::claim_remote(
 }
 
 bool LeaseCoordinator::publish(std::size_t index,
-                               const detail::BlockPartial& partial,
+                               detail::BlockPartial partial,
                                std::uint64_t parent_span_id) {
   std::lock_guard<std::mutex> lock(mutex_);
   Lease& lease = leases_[index];
   if (lease.state == LeaseState::kComplete) return true;
-  if (robust::fault_injected(robust::FaultSite::kMcLeaseExpire) ||
-      Clock::now() >= lease.expiry) {
+  if (robust::fault_injected(robust::FaultSite::kMcLeaseExpire)) {
     expire_locked(lease);
     return false;
   }
-  commit_locked(lease, partial, parent_span_id);
+  commit_locked(lease, std::move(partial), parent_span_id);
   bump_activity_locked();
   return true;
 }
@@ -147,7 +146,7 @@ bool LeaseCoordinator::publish_remote(std::uint64_t worker, std::size_t index,
     return false;
   }
   if (robust::fault_injected(robust::FaultSite::kMcLeaseExpire) ||
-      Clock::now() >= lease.expiry) {
+      stale(lease, Clock::now())) {
     expire_locked(lease);
     obs::counter("sckl.ssta.mc.remote.rejected").add(1);
     bump_activity_locked();
@@ -209,6 +208,11 @@ std::uint64_t LeaseCoordinator::activity_count() const {
   return activity_;
 }
 
+bool LeaseCoordinator::stale(const Lease& lease, Clock::time_point now) {
+  return lease.state == LeaseState::kClaimed && lease.owner != 0 &&
+         now >= lease.expiry;
+}
+
 void LeaseCoordinator::expire_locked(Lease& lease) {
   lease.state = LeaseState::kAvailable;
   lease.owner = 0;
@@ -218,19 +222,21 @@ void LeaseCoordinator::expire_locked(Lease& lease) {
 }
 
 void LeaseCoordinator::commit_locked(Lease& lease,
-                                     const detail::BlockPartial& partial,
+                                     detail::BlockPartial partial,
                                      std::uint64_t parent_span_id) {
-  obs::Span append_span("ssta.mc.ledger_append", parent_span_id);
-  std::vector<std::uint8_t> payload;
-  wire::put_u8(payload, kLedgerLeaseTag);
-  wire::put_u64(payload, lease.first_block);
-  wire::put_u64(payload, lease.num_blocks);
-  partial.encode(payload);
-  log_.append(payload);  // durable (or _Exit under mc_ledger_write)
-  robust::crash_point(robust::FaultSite::kMcCoordinatorCrash);
-  ++stats_.ledger_appends;
-  obs::counter("sckl.ssta.mc.ledger_appends").add(1);
-  lease.partial = partial;
+  if (log_.has_value()) {
+    obs::Span append_span("ssta.mc.ledger_append", parent_span_id);
+    std::vector<std::uint8_t> payload;
+    wire::put_u8(payload, kLedgerLeaseTag);
+    wire::put_u64(payload, lease.first_block);
+    wire::put_u64(payload, lease.num_blocks);
+    partial.encode(payload);
+    log_->append(payload);  // durable (or _Exit under mc_ledger_write)
+    robust::crash_point(robust::FaultSite::kMcCoordinatorCrash);
+    ++stats_.ledger_appends;
+    obs::counter("sckl.ssta.mc.ledger_appends").add(1);
+  }
+  lease.partial = std::move(partial);
   lease.state = LeaseState::kComplete;
   if (lease.was_reclaimed) {
     ++stats_.leases_recomputed;

@@ -1,15 +1,18 @@
-// Checkpointed, resumable Monte Carlo SSTA (the crash-safe runner).
+// Checkpointed, resumable Monte Carlo SSTA, and the one Monte Carlo runner
+// behind both entry points.
 //
-// run_monte_carlo_ssta (mc_ssta.h) already makes every sample a pure
-// function of its index, so nothing about a Monte Carlo run is inherently
-// lost when the process dies — except the work already done. This runner
-// adds exactly that durability: blocks are grouped into fixed *leases*, a
-// worker that finishes a lease appends the lease's merged BlockPartial to a
-// durable append-only *run ledger* (store/record_log.h, fsync'd per
-// record), and a resumed run loads completed leases from the ledger and
-// recomputes only the rest. The lease table, state machine, and ledger
-// appends live in lease_ledger.h (LeaseCoordinator) so the serve daemon
-// can hand the same leases to remote workers.
+// Every sample is a pure function of its index, so nothing about a Monte
+// Carlo run is inherently lost when the process dies — except the work
+// already done. The runner groups blocks into fixed *leases*; a worker
+// that finishes a lease publishes the lease's merged BlockPartial to a
+// LeaseCoordinator (lease_ledger.h), and the result is the fold of the
+// lease partials in lease order. run_monte_carlo_ssta (mc_ssta.h) is this
+// runner with one block per lease and the lease table kept in memory only.
+// run_checkpointed_monte_carlo_ssta adds durability: each published lease
+// is appended to a durable append-only *run ledger* (store/record_log.h,
+// fsync'd per record), and a resumed run loads completed leases from the
+// ledger and recomputes only the rest. The serve daemon hands the same
+// leases to remote workers through the coordinator.
 //
 // Resume invariant (ctest-gated by mc_resume_kill_loop): for a fixed
 // (workload, num_samples, block_size, lease_blocks, seed, sketch_capacity),
@@ -30,6 +33,11 @@
 //      bit-associative, so the nesting itself is part of the contract).
 //      Ledger-loaded and freshly computed lease partials are bitwise
 //      interchangeable, so any mix folds to the same result.
+//
+// With lease_blocks = 1 the fold is the block-order fold: a merge into an
+// empty accumulator is an exact copy, so each lease partial carries its
+// block partial's bits. A plain run and a checkpointed run with
+// lease_blocks = 1 therefore agree bit for bit.
 //
 // The same three properties make the DISTRIBUTED extension safe: a remote
 // worker that claims a lease over the serve protocol computes the same
@@ -55,8 +63,7 @@
 
 namespace sckl::ssta {
 
-/// Options of the checkpointed runner, on top of McSstaOptions (which
-/// carries the lease TTL, McSstaOptions::lease_ttl_ms).
+/// Options of the checkpointed runner, on top of McSstaOptions.
 struct McRunOptions {
   /// Identifies the run's ledger (file names derive from it). Restricted to
   /// [A-Za-z0-9._-] so it can never escape ledger_dir.
@@ -99,12 +106,20 @@ struct McRunOptions {
   /// activity (claim / publish / heartbeat) before computing a lease
   /// locally. Only used when share_coordinator is set.
   double local_fallback_seconds = 0.5;
+
+  /// Lease time-to-live of remote claims: a lease handed to a remote
+  /// worker that is neither published nor heartbeat-extended within this
+  /// budget is reclaimed for deterministic recomputation. Claims by this
+  /// process's own threads never expire by clock. Must be positive;
+  /// heartbeat intervals are validated against it (< TTL/3).
+  std::uint64_t lease_ttl_ms = 300'000;
 };
 
 /// Runs Monte Carlo SSTA with durable lease checkpointing. Same sampler
 /// preconditions as run_monte_carlo_ssta; additionally requires a valid
 /// run_id/ledger_dir and rejects options.keep_samples (per-sample retention
-/// is incompatible with skipping resumed leases). Throws:
+/// is incompatible with skipping resumed leases). With lease_blocks = 1 the
+/// statistics are bit-identical to run_monte_carlo_ssta's. Throws:
 ///   kPrecondition — run_id invalid, ledger belongs to another workload or
 ///                   different sampling options, or a fresh (resume=false)
 ///                   run found an existing ledger with lease records;

@@ -1,13 +1,8 @@
 #include "ssta/mc_ssta.h"
 
 #include <algorithm>
-#include <atomic>
 
-#include "common/error.h"
-#include "common/thread_pool.h"
-#include "obs/metrics.h"
 #include "obs/stopwatch.h"
-#include "obs/trace.h"
 
 namespace sckl::ssta {
 
@@ -99,98 +94,5 @@ void compute_block_partial(const timing::StaEngine& engine,
 }
 
 }  // namespace detail
-
-McSstaResult run_monte_carlo_ssta(const timing::StaEngine& engine,
-                                  const ParameterSamplers& samplers,
-                                  const McSstaOptions& options) {
-  require(options.num_samples > 0, "run_monte_carlo_ssta: no samples");
-  require(options.block_size > 0, "run_monte_carlo_ssta: empty block");
-  const std::size_t num_gates =
-      engine.netlist().num_physical_gates();
-  for (const auto* sampler : samplers) {
-    require(sampler != nullptr, "run_monte_carlo_ssta: missing sampler");
-    require(sampler->num_locations() == num_gates,
-            "run_monte_carlo_ssta: sampler/netlist gate count mismatch");
-  }
-
-  obs::Span mc_span("ssta.mc");
-  obs::counter("sckl.ssta.mc.runs").add(1);
-  obs::Stopwatch total;
-  const std::size_t num_blocks = detail::num_blocks_for(options);
-  const std::size_t num_threads = std::min(
-      ThreadPool::resolve_num_threads(options.num_threads), num_blocks);
-
-  McSstaResult result;
-  result.worst_delay_sketch = QuantileSketch(options.sketch_capacity);
-  result.threads_used = num_threads;
-  const std::size_t num_endpoints = engine.num_endpoints();
-  std::vector<detail::BlockPartial> partials(num_blocks);
-  if (options.keep_samples)
-    result.worst_delay_samples.assign(options.num_samples, 0.0);
-
-  // Work-stealing block pipeline: workers claim the next unprocessed block
-  // off the shared counter, so a slow block (cache miss, scheduler hiccup)
-  // never stalls the others. Each worker owns its scratch matrices; the
-  // StaEngine is const and allocation-local, so one engine serves all
-  // workers. Writes are disjoint: block b's partial and its sample range.
-  std::atomic<std::size_t> next_block{0};
-  // Pool workers run on their own threads, so the implicit thread-local
-  // parenting cannot see `mc_span`; capture its id and parent each worker's
-  // span under it explicitly. The steal-latency histogram measures the time
-  // a worker spends claiming its next block off the shared counter.
-  const std::uint64_t mc_span_id = obs::Span::current_id();
-  static obs::Counter& blocks_claimed = obs::counter("sckl.ssta.mc.blocks");
-  static obs::Histogram& steal_ns = obs::histogram("sckl.ssta.mc.steal_ns");
-  static obs::Histogram& busy_us = obs::histogram("sckl.ssta.mc.worker_busy_us");
-  std::atomic<bool> was_cancelled{false};
-  const auto worker = [&](std::size_t /*worker_index*/) {
-    obs::Span worker_span("ssta.mc.worker", mc_span_id);
-    obs::Stopwatch busy;
-    detail::BlockScratch scratch;
-    for (;;) {
-      // Cancellation is polled once per block claim: the already-claimed
-      // block always completes, so a cancelled run still leaves `partials`
-      // internally consistent (it is discarded by the throw below anyway).
-      if (options.cancelled && options.cancelled()) {
-        was_cancelled.store(true, std::memory_order_relaxed);
-        break;
-      }
-      obs::Stopwatch steal;
-      const std::size_t b = next_block.fetch_add(1);
-      if (obs::trace_enabled()) steal_ns.record(steal.seconds() * 1e9);
-      if (b >= num_blocks) break;
-      blocks_claimed.add(1);
-      detail::compute_block_partial(
-          engine, samplers, options, b, num_endpoints, scratch, partials[b],
-          options.keep_samples ? &result.worst_delay_samples : nullptr);
-    }
-    if (obs::trace_enabled()) busy_us.record(busy.seconds() * 1e6);
-  };
-
-  if (num_threads == 1) {
-    worker(0);
-  } else {
-    ThreadPool pool(num_threads);
-    pool.run(worker);
-  }
-  if (was_cancelled.load(std::memory_order_relaxed))
-    throw Error("run_monte_carlo_ssta: cancelled before completion",
-                ErrorCode::kDeadlineExceeded);
-
-  // Ordered merge: block 0, 1, 2, ... regardless of which worker produced
-  // which block, so mean/sigma/sketch are bit-identical for every thread
-  // count.
-  result.endpoint.resize(num_endpoints);
-  for (const detail::BlockPartial& partial : partials) {
-    result.worst_delay.merge(partial.worst_delay);
-    result.worst_delay_sketch.merge(partial.worst_delay_sketch);
-    for (std::size_t e = 0; e < num_endpoints; ++e)
-      result.endpoint[e].merge(partial.endpoint[e]);
-    result.sampling_seconds += partial.sampling_seconds;
-    result.sta_seconds += partial.sta_seconds;
-  }
-  result.total_seconds = total.seconds();
-  return result;
-}
 
 }  // namespace sckl::ssta

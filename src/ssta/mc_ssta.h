@@ -8,19 +8,19 @@
 // the harness separately times sample generation and STA so Table 1's
 // speedup decomposition can be reported.
 //
-// The block loop is parallel: workers claim blocks dynamically off a shared
-// counter, draw their block's index range for all four parameters, run STA
-// with per-worker scratch state, and record per-block partial statistics
-// that are merged in block order after the join. Because every sample is
-// index-addressed (the samplers are stateless) and the merge order is
-// fixed, the result — including every retained worst-delay sample, the
-// accumulated mean/sigma, and the worst-delay quantile sketch — is
-// bit-identical for any thread count and any block size partition.
+// The block loop is parallel: workers claim blocks dynamically, draw their
+// block's index range for all four parameters, run STA with per-worker
+// scratch state, and record per-block partial statistics that are merged
+// in block order after the join. Because every sample is index-addressed
+// (the samplers are stateless) and the merge order is fixed, the result —
+// including every retained worst-delay sample, the accumulated mean/sigma,
+// and the worst-delay quantile sketch — is bit-identical for any thread
+// count.
 //
-// The per-block computation is factored out (detail::compute_block_partial)
-// and shared with the checkpointed runner in ssta/mc_run.h, which persists
-// completed-lease partials to a durable ledger so a killed run can resume
-// and still reproduce the identical statistics.
+// The per-block computation (detail::compute_block_partial) lives here; the
+// runner itself is the lease pipeline of ssta/mc_run.h with one block per
+// lease and no ledger, so a plain run and a checkpointed run with
+// lease_blocks = 1 produce the same bits.
 #pragma once
 
 #include <array>
@@ -51,19 +51,14 @@ struct McSstaOptions {
   /// on the calling thread, k = exactly k workers. Statistics are
   /// bit-identical for every value.
   std::size_t num_threads = 0;
-  /// Lease time-to-live for the checkpointed runner (mc_run.h): a claimed
-  /// lease not completed (or, for remote workers, not heartbeat-extended)
-  /// within this budget is treated as abandoned and reclaimed for
-  /// deterministic recomputation. Ignored by the plain runner. Must be
-  /// positive; heartbeat intervals are validated against it (< TTL/3).
-  std::uint64_t lease_ttl_ms = 300'000;
-  /// Cooperative cancellation, polled between block claims (a block is the
-  /// unit of preemption — at most one block of work runs after this first
-  /// returns true). When the run is cancelled the harness finishes joining
-  /// its workers, then throws sckl::Error(kDeadlineExceeded). The serve
-  /// daemon passes a deadline check here so a slow RunSsta request stops
-  /// consuming pool threads soon after its deadline expires. Must be
-  /// thread-safe; empty = never cancelled.
+  /// Cooperative cancellation, polled between lease claims (a lease — one
+  /// block in a plain run — is the unit of preemption: at most one lease of
+  /// work per worker runs after this first returns true). When the run is
+  /// cancelled the harness finishes joining its workers, then throws
+  /// sckl::Error(kDeadlineExceeded). The serve daemon passes a deadline
+  /// check here so a slow RunSsta request stops consuming pool threads soon
+  /// after its deadline expires. Must be thread-safe; empty = never
+  /// cancelled.
   std::function<bool()> cancelled;
 };
 
@@ -88,10 +83,10 @@ using ParameterSamplers =
 namespace detail {
 
 /// Statistics of one sample block (or one merged lease of blocks). Kept per
-/// block so the final merge runs in block order — the floating-point
+/// lease so the final merge runs in lease order — the floating-point
 /// accumulation is then independent of the thread count. The checkpointed
-/// runner serializes merged-lease partials into its ledger, which is why
-/// the struct carries wire codecs and bitwise comparison.
+/// runner serializes lease partials into its ledger, which is why the
+/// struct carries wire codecs and bitwise comparison.
 struct BlockPartial {
   RunningStats worst_delay;
   QuantileSketch worst_delay_sketch{QuantileSketch::kDefaultCapacity};
@@ -100,8 +95,8 @@ struct BlockPartial {
   double sta_seconds = 0.0;
 
   /// Folds `other` into this partial. The fold is the one merge step used
-  /// everywhere (plain runner, lease accumulation, ledger replay), so a
-  /// fixed fold order ⇒ bit-identical accumulator state.
+  /// everywhere (lease accumulation and the final fold), so a fixed fold
+  /// order ⇒ bit-identical accumulator state.
   void merge(const BlockPartial& other);
 
   /// Bit-exact wire codecs (timings travel as IEEE-754 bit patterns too,
@@ -144,9 +139,11 @@ inline std::size_t num_blocks_for(const McSstaOptions& options) {
 
 }  // namespace detail
 
-/// Runs Monte Carlo SSTA. All samplers must cover exactly the engine's
-/// physical gate count and be safe for concurrent const use (every sampler
-/// in this codebase is: sample_block is a pure function of its arguments).
+/// Runs Monte Carlo SSTA (defined in mc_run.cpp: the lease pipeline with
+/// one block per lease and no ledger). All samplers must cover exactly the
+/// engine's physical gate count and be safe for concurrent const use (every
+/// sampler in this codebase is: sample_block is a pure function of its
+/// arguments). Throws kDeadlineExceeded when options.cancelled fires.
 McSstaResult run_monte_carlo_ssta(const timing::StaEngine& engine,
                                   const ParameterSamplers& samplers,
                                   const McSstaOptions& options = {});
