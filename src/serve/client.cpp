@@ -52,33 +52,6 @@ std::vector<std::uint8_t> Client::roundtrip(
   return reply;
 }
 
-HelloReply Client::hello() {
-  const std::vector<std::uint8_t> reply = roundtrip(MessageType::kHello, {});
-  wire::ByteReader r(reply.data(), reply.size(), ErrorCode::kProtocol,
-                     "hello reply");
-  return decode_hello_reply(r);
-}
-
-SolveKleReply Client::solve_kle(const SolveKleRequest& request) {
-  std::vector<std::uint8_t> payload;
-  encode(payload, request);
-  const std::vector<std::uint8_t> reply =
-      roundtrip(MessageType::kSolveKle, payload);
-  wire::ByteReader r(reply.data(), reply.size(), ErrorCode::kProtocol,
-                     "solve_kle reply");
-  return decode_solve_kle_reply(r);
-}
-
-SampleBlockReply Client::sample_block(const SampleBlockRequest& request) {
-  std::vector<std::uint8_t> payload;
-  encode(payload, request);
-  const std::vector<std::uint8_t> reply =
-      roundtrip(MessageType::kSampleBlock, payload);
-  wire::ByteReader r(reply.data(), reply.size(), ErrorCode::kProtocol,
-                     "sample_block reply");
-  return decode_sample_block_reply(r);
-}
-
 linalg::Matrix Client::sample_matrix(const SampleBlockRequest& request) {
   const SampleBlockReply reply = sample_block(request);
   linalg::Matrix out(static_cast<std::size_t>(reply.rows),
@@ -86,71 +59,6 @@ linalg::Matrix Client::sample_matrix(const SampleBlockRequest& request) {
   std::memcpy(out.data(), reply.values.data(),
               reply.values.size() * sizeof(double));
   return out;
-}
-
-RunSstaReply Client::run_ssta(const RunSstaRequest& request) {
-  std::vector<std::uint8_t> payload;
-  encode(payload, request);
-  const std::vector<std::uint8_t> reply =
-      roundtrip(MessageType::kRunSsta, payload);
-  wire::ByteReader r(reply.data(), reply.size(), ErrorCode::kProtocol,
-                     "run_ssta reply");
-  return decode_run_ssta_reply(r);
-}
-
-StatsReply Client::stats() {
-  const std::vector<std::uint8_t> reply = roundtrip(MessageType::kStats, {});
-  wire::ByteReader r(reply.data(), reply.size(), ErrorCode::kProtocol,
-                     "stats reply");
-  return decode_stats_reply(r);
-}
-
-ClaimLeasesReply Client::claim_leases(const ClaimLeasesRequest& request) {
-  std::vector<std::uint8_t> payload;
-  encode(payload, request);
-  const std::vector<std::uint8_t> reply =
-      roundtrip(MessageType::kClaimLeases, payload);
-  wire::ByteReader r(reply.data(), reply.size(), ErrorCode::kProtocol,
-                     "claim_leases reply");
-  return decode_claim_leases_reply(r);
-}
-
-PublishPartialReply Client::publish_partial(
-    const PublishPartialRequest& request) {
-  std::vector<std::uint8_t> payload;
-  encode(payload, request);
-  const std::vector<std::uint8_t> reply =
-      roundtrip(MessageType::kPublishPartial, payload);
-  wire::ByteReader r(reply.data(), reply.size(), ErrorCode::kProtocol,
-                     "publish_partial reply");
-  return decode_publish_partial_reply(r);
-}
-
-HeartbeatReply Client::heartbeat(const HeartbeatRequest& request) {
-  std::vector<std::uint8_t> payload;
-  encode(payload, request);
-  const std::vector<std::uint8_t> reply =
-      roundtrip(MessageType::kHeartbeat, payload);
-  wire::ByteReader r(reply.data(), reply.size(), ErrorCode::kProtocol,
-                     "heartbeat reply");
-  return decode_heartbeat_reply(r);
-}
-
-RunStatusReply Client::run_status(const RunStatusRequest& request) {
-  std::vector<std::uint8_t> payload;
-  encode(payload, request);
-  const std::vector<std::uint8_t> reply =
-      roundtrip(MessageType::kRunStatus, payload);
-  wire::ByteReader r(reply.data(), reply.size(), ErrorCode::kProtocol,
-                     "run_status reply");
-  return decode_run_status_reply(r);
-}
-
-void Client::shutdown_server() {
-  const std::vector<std::uint8_t> reply = roundtrip(MessageType::kShutdown, {});
-  wire::ByteReader r(reply.data(), reply.size(), ErrorCode::kProtocol,
-                     "shutdown reply");
-  check_reply_status(r);
 }
 
 }  // namespace sckl::serve

@@ -13,7 +13,9 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
+#include "common/error.h"
 #include "common/socket.h"
 #include "linalg/matrix.h"
 #include "serve/protocol.h"
@@ -45,22 +47,47 @@ class Client {
   /// execution budget carried in the frame header.
   void set_rpc_timeout_ms(int timeout_ms) { rpc_timeout_ms_ = timeout_ms; }
 
-  HelloReply hello();
-  SolveKleReply solve_kle(const SolveKleRequest& request);
-  SampleBlockReply sample_block(const SampleBlockRequest& request);
+  /// Sends one request and decodes its typed reply; the request type names
+  /// its MessageType and reply type (serve/protocol.h). A malformed reply —
+  /// truncated, hostile counts, trailing bytes — is kProtocol.
+  template <typename Request>
+  typename Request::Reply call(const Request& request) {
+    std::vector<std::uint8_t> payload;
+    encode(payload, request);
+    const std::vector<std::uint8_t> reply = roundtrip(Request::kType, payload);
+    wire::ByteReader r(reply.data(), reply.size(), ErrorCode::kProtocol,
+                       to_string(Request::kType));
+    return decode_reply<typename Request::Reply>(r);
+  }
+
+  HelloReply hello() { return call(HelloRequest{}); }
+  SolveKleReply solve_kle(const SolveKleRequest& request) {
+    return call(request);
+  }
+  SampleBlockReply sample_block(const SampleBlockRequest& request) {
+    return call(request);
+  }
   /// Convenience: sample_block decoded straight into a row-major Matrix of
   /// shape (range.count, locations.size()) — bit-identical to running
   /// KleFieldSampler::sample_block locally.
   linalg::Matrix sample_matrix(const SampleBlockRequest& request);
-  RunSstaReply run_ssta(const RunSstaRequest& request);
-  StatsReply stats();
+  RunSstaReply run_ssta(const RunSstaRequest& request) { return call(request); }
+  StatsReply stats() { return call(StatsRequest{}); }
   /// Distributed Monte Carlo worker RPCs (protocol v3; see DESIGN.md §12).
-  ClaimLeasesReply claim_leases(const ClaimLeasesRequest& request);
-  PublishPartialReply publish_partial(const PublishPartialRequest& request);
-  HeartbeatReply heartbeat(const HeartbeatRequest& request);
-  RunStatusReply run_status(const RunStatusRequest& request);
+  ClaimLeasesReply claim_leases(const ClaimLeasesRequest& request) {
+    return call(request);
+  }
+  PublishPartialReply publish_partial(const PublishPartialRequest& request) {
+    return call(request);
+  }
+  HeartbeatReply heartbeat(const HeartbeatRequest& request) {
+    return call(request);
+  }
+  RunStatusReply run_status(const RunStatusRequest& request) {
+    return call(request);
+  }
   /// Asks the server to shut down gracefully (acknowledged before draining).
-  void shutdown_server();
+  void shutdown_server() { call(ShutdownRequest{}); }
 
   /// Escape hatch for protocol tests: send a raw frame (any header fields)
   /// and read back one reply payload, without the usual encoding.

@@ -7,63 +7,38 @@
 // and reusing store/kle_io's KleArtifactConfig codec verbatim, so a config
 // is encoded identically on disk and on the wire.
 //
-// Request/reply pairing: a reply frame echoes the request's type and
-// request id. Every reply payload starts with a u32 status — 0 for success
-// followed by the type-specific body below, otherwise the sckl::ErrorCode
-// of the failure followed by a diagnostic string. check_reply_status()
-// rethrows such an error client-side with the original code, so a remote
-// failure is indistinguishable from a local one to reaction code.
+// Layouts: each request and reply struct below declares its wire fields
+// once, in wire order, in its `fields(io)` member. One generic codec
+// (detail::Writer / detail::Reader) walks that list to encode and decode,
+// so the list IS the layout — there is no second copy to drift. Per field
+// type: bool and RunState are a u8, std::uint32_t a u32, std::uint64_t a
+// u64, double an f64 bit pattern, std::string a u32 length + bytes, a byte
+// vector a u64 length + bytes, any other vector a u64 count + elements, and
+// nested structs (KleArtifactConfig, Point2, SampleRange, StreamKey,
+// WireLease) their own fields in order.
 //
-//   kHello        -> (empty)            <- u32 protocol version, string build
-//   kSolveKle     -> artifact config, u8 want_artifact
-//                 <- u64 key, u32 fetch source, f64 seconds, u64 triangles,
-//                    u64 eigenpairs, blob artifact (empty unless requested)
-//   kSampleBlock  -> artifact config, u64 r, locations (u64 n + 2n f64),
-//                    range (u64 first, u64 count), stream (u64 seed, u64 id)
-//                 <- u64 rows, u64 cols, rows*cols f64 row-major — the exact
-//                    bits KleFieldSampler::sample_block produces locally
-//   kRunSsta      -> string circuit, u64 num_samples, u64 r, u64 eigenpairs,
-//                    f64 mesh_area_fraction, f64 kernel_c, u64 seed,
-//                    u64 num_threads, string run_id, u8 resume
-//                 <- f64 mean/sigma/p99/p999/setup/sampling/sta/total,
-//                    u32 source, u64 triangles, u64 threads_used,
-//                    u64 resumed_leases
-//   kStats        -> (empty)            <- string JSON (sckl-serve-stats-v1)
-//   kShutdown     -> (empty)            <- (empty); server then drains
+// Request/reply pairing: every request type names its MessageType (kType)
+// and its reply type (Reply); a reply frame echoes the request's type and
+// request id. Every reply payload starts with a u32 status — 0 for success
+// followed by the reply's fields, otherwise the sckl::ErrorCode of the
+// failure followed by a diagnostic string. check_reply_status() rethrows
+// such an error client-side with the original code, so a remote failure is
+// indistinguishable from a local one to reaction code.
 //
 // Distributed Monte Carlo (v3): a coordinator-side RunSsta with
 // distributed=1 registers the run's live lease table; remote workers then
-// drive it with the four messages below (see DESIGN.md §12 for the flow).
-//   kClaimLeases  -> string run_id, u64 worker_id, u64 config_hash
-//                    (0 = unknown yet), u64 max_leases
-//                 <- u8 run_state (0 unknown / 1 running / 2 complete);
-//                    when running: u64 config_hash, workload spec (string
-//                    circuit, u64 seed, u64 r, u64 eigenpairs, f64
-//                    mesh_area_fraction, f64 kernel_c), sampling geometry
-//                    (u64 num_samples/block_size/lease_blocks/mc_seed/
-//                    sketch_capacity/num_endpoints), u64 lease_ttl_ms, u64
-//                    heartbeat_interval_ms, then u64 count leases of
-//                    (u64 index, u64 first_block, u64 num_blocks)
-//   kPublishPartial -> string run_id, u64 worker_id, u64 config_hash,
-//                    u64 lease index/first_block/num_blocks, blob partial
-//                    (ssta BlockPartial codec)
-//                 <- u8 accepted (0 = lease expired / re-issued / run not
-//                    currently live here: discard the partial, claim again)
-//   kHeartbeat    -> string run_id, u64 worker_id, u64 config_hash
-//                 <- u8 run_state, u64 leases_extended
-//   kRunStatus    -> string run_id
-//                 <- u8 run_state, u64 config_hash, u64 leases_total,
-//                    u64 leases_complete, u64 leases_claimed
-//
-// A worker whose config_hash differs from the coordinator's gets a
-// kPrecondition error reply — it is computing a different workload and its
-// partials must never reach the ledger.
+// drive it with ClaimLeases / PublishPartial / Heartbeat / RunStatus (see
+// DESIGN.md §12 for the flow). A worker whose config_hash differs from the
+// coordinator's gets a kPrecondition error reply — it is computing a
+// different workload and its partials must never reach the ledger.
 #pragma once
 
 #include <cstdint>
 #include <string>
+#include <variant>
 #include <vector>
 
+#include "common/error.h"
 #include "common/frame.h"
 #include "common/rng.h"
 #include "common/wire.h"
@@ -99,57 +74,71 @@ enum class RunState : std::uint8_t {
 /// Stable lowercase name ("hello", "solve_kle", ...); "unknown" otherwise.
 const char* to_string(MessageType type);
 
-/// True for the message types this build understands.
-bool known_message_type(std::uint32_t type);
+// --- replies ---------------------------------------------------------------
 
-// --- requests --------------------------------------------------------------
+struct HelloReply {
+  std::uint32_t protocol_version = wire::kProtocolVersion;
+  std::string server;  // human-readable build identification
 
-struct SolveKleRequest {
-  store::KleArtifactConfig config;
-  bool want_artifact = false;  // return the full encoded .sckl artifact
+  template <typename IO> void fields(IO& io) { io(protocol_version, server); }
 };
 
-struct SampleBlockRequest {
-  store::KleArtifactConfig config;           // which KLE to sample from
-  std::uint64_t r = 25;                      // truncation
-  std::vector<geometry::Point2> locations;   // sample locations on the die
-  field::SampleRange range;                  // global sample index range
-  StreamKey stream;                          // parameter stream
+struct SolveKleReply {
+  std::uint64_t key = 0;              // content-hash key of the artifact
+  std::uint32_t source = 0;           // store::FetchSource as u32
+  double seconds = 0.0;               // server-side fetch wall time
+  std::uint64_t mesh_triangles = 0;
+  std::uint64_t num_eigenpairs = 0;
+  std::vector<std::uint8_t> artifact; // encode_kle bytes; empty unless asked
+
+  template <typename IO> void fields(IO& io) {
+    io(key, source, seconds, mesh_triangles, num_eigenpairs, artifact);
+  }
 };
 
-struct RunSstaRequest {
-  std::string circuit = "c880";
-  std::uint64_t num_samples = 200;
-  std::uint64_t r = 25;
-  std::uint64_t num_eigenpairs = 0;       // 0 = max(2r, 50), as ExperimentConfig
-  double mesh_area_fraction = 0.001;
-  double kernel_c = 0.0;                  // 0 = the paper's fitted value
-  std::uint64_t seed = 1;
-  std::uint64_t num_threads = 0;          // 0 = server default
-  /// Non-empty: run through the checkpointed Monte Carlo runner, keeping a
-  /// durable run ledger under the server's store root (requires the server
-  /// to have a store). resume continues an interrupted run's ledger.
-  std::string run_id;
-  bool resume = false;
-  /// Run as a distributed coordinator: register the lease table for remote
-  /// ClaimLeases/PublishPartial workers and degrade to local compute only
-  /// when they go quiet. Requires a non-empty run_id.
-  bool distributed = false;
-  /// Checkpointing geometry overrides (0 = the McSstaOptions/McRunOptions
-  /// defaults). Part of the ledger header, so they must match on resume.
-  std::uint64_t mc_block_size = 0;
-  std::uint64_t mc_lease_blocks = 0;
+struct SampleBlockReply {
+  std::uint64_t rows = 0;
+  std::uint64_t cols = 0;
+  std::vector<double> values;  // row-major, rows*cols entries — the exact
+                               // bits KleFieldSampler::sample_block makes
+
+  template <typename IO> void fields(IO& io) {
+    io(rows, cols);
+    io.row_major(rows, cols, values);  // no count prefix: rows*cols f64s
+  }
 };
 
-/// ClaimLeases: a worker asks the coordinator daemon for up to max_leases
-/// available leases of run_id. config_hash 0 means "not known yet" (the
-/// first claim, before the worker has built its pipeline) — the reply's
-/// spec + config_hash let it build one; any later mismatch is kPrecondition.
-struct ClaimLeasesRequest {
-  std::string run_id;
-  std::uint64_t worker_id = 0;
-  std::uint64_t config_hash = 0;
-  std::uint64_t max_leases = 1;
+struct RunSstaReply {
+  double mean = 0.0;
+  double sigma = 0.0;
+  /// Tail quantiles of the worst-delay distribution, from the mergeable
+  /// quantile sketch (exact while num_samples <= the sketch capacity).
+  double p99 = 0.0;
+  double p999 = 0.0;
+  double setup_seconds = 0.0;
+  double sampling_seconds = 0.0;
+  double sta_seconds = 0.0;
+  double total_seconds = 0.0;
+  std::uint32_t source = 0;      // store::FetchSource as u32
+  std::uint64_t mesh_triangles = 0;
+  std::uint64_t threads_used = 0;
+  std::uint64_t resumed_leases = 0;  // checkpointed runs: leases from ledger
+
+  template <typename IO> void fields(IO& io) {
+    io(mean, sigma, p99, p999, setup_seconds, sampling_seconds, sta_seconds,
+       total_seconds, source, mesh_triangles, threads_used, resumed_leases);
+  }
+};
+
+struct StatsReply {
+  std::string json;  // sckl-serve-stats-v1 document
+
+  template <typename IO> void fields(IO& io) { io(json); }
+};
+
+/// Shutdown is acknowledged with an empty body; the server then drains.
+struct ShutdownReply {
+  template <typename IO> void fields(IO&) {}
 };
 
 /// One lease granted to a remote worker.
@@ -157,6 +146,10 @@ struct WireLease {
   std::uint64_t index = 0;
   std::uint64_t first_block = 0;
   std::uint64_t num_blocks = 0;
+
+  template <typename IO> void fields(IO& io) {
+    io(index, first_block, num_blocks);
+  }
 };
 
 struct ClaimLeasesReply {
@@ -183,33 +176,28 @@ struct ClaimLeasesReply {
   std::uint64_t lease_ttl_ms = 0;
   std::uint64_t heartbeat_interval_ms = 0;
   std::vector<WireLease> leases;       // may be empty: nothing claimable now
-};
 
-struct PublishPartialRequest {
-  std::string run_id;
-  std::uint64_t worker_id = 0;
-  std::uint64_t config_hash = 0;
-  WireLease lease;
-  std::vector<std::uint8_t> partial;   // ssta::detail::BlockPartial codec
+  template <typename IO> void fields(IO& io) {
+    io(run_state);
+    if (run_state != RunState::kRunning) return;
+    io(config_hash, circuit, seed, r, num_eigenpairs, mesh_area_fraction,
+       kernel_c, num_samples, block_size, lease_blocks, mc_seed,
+       sketch_capacity, num_endpoints, lease_ttl_ms, heartbeat_interval_ms,
+       leases);
+  }
 };
 
 struct PublishPartialReply {
   bool accepted = false;  // false: lease expired/re-issued — claim again
-};
 
-struct HeartbeatRequest {
-  std::string run_id;
-  std::uint64_t worker_id = 0;
-  std::uint64_t config_hash = 0;
+  template <typename IO> void fields(IO& io) { io(accepted); }
 };
 
 struct HeartbeatReply {
   RunState run_state = RunState::kUnknown;
   std::uint64_t leases_extended = 0;
-};
 
-struct RunStatusRequest {
-  std::string run_id;
+  template <typename IO> void fields(IO& io) { io(run_state, leases_extended); }
 };
 
 struct RunStatusReply {
@@ -218,106 +206,297 @@ struct RunStatusReply {
   std::uint64_t leases_total = 0;
   std::uint64_t leases_complete = 0;
   std::uint64_t leases_claimed = 0;
+
+  template <typename IO> void fields(IO& io) {
+    io(run_state, config_hash, leases_total, leases_complete, leases_claimed);
+  }
 };
 
-// --- replies ---------------------------------------------------------------
+// --- requests --------------------------------------------------------------
 
-struct HelloReply {
-  std::uint32_t protocol_version = wire::kProtocolVersion;
-  std::string server;  // human-readable build identification
+struct HelloRequest {
+  static constexpr MessageType kType = MessageType::kHello;
+  using Reply = HelloReply;
+  template <typename IO> void fields(IO&) {}
 };
 
-struct SolveKleReply {
-  std::uint64_t key = 0;              // content-hash key of the artifact
-  std::uint32_t source = 0;           // store::FetchSource as u32
-  double seconds = 0.0;               // server-side fetch wall time
-  std::uint64_t mesh_triangles = 0;
-  std::uint64_t num_eigenpairs = 0;
-  std::vector<std::uint8_t> artifact; // encode_kle bytes; empty unless asked
+struct SolveKleRequest {
+  static constexpr MessageType kType = MessageType::kSolveKle;
+  using Reply = SolveKleReply;
+
+  store::KleArtifactConfig config;
+  bool want_artifact = false;  // return the full encoded .sckl artifact
+
+  template <typename IO> void fields(IO& io) { io(config, want_artifact); }
 };
 
-struct SampleBlockReply {
-  std::uint64_t rows = 0;
-  std::uint64_t cols = 0;
-  std::vector<double> values;  // row-major, rows*cols entries
+struct SampleBlockRequest {
+  static constexpr MessageType kType = MessageType::kSampleBlock;
+  using Reply = SampleBlockReply;
+
+  store::KleArtifactConfig config;           // which KLE to sample from
+  std::uint64_t r = 25;                      // truncation
+  std::vector<geometry::Point2> locations;   // sample locations on the die
+  field::SampleRange range;                  // global sample index range
+  StreamKey stream;                          // parameter stream
+
+  template <typename IO> void fields(IO& io) {
+    io(config, r, locations, range, stream);
+  }
 };
 
-struct RunSstaReply {
-  double mean = 0.0;
-  double sigma = 0.0;
-  /// Tail quantiles of the worst-delay distribution, from the mergeable
-  /// quantile sketch (exact while num_samples <= the sketch capacity).
-  double p99 = 0.0;
-  double p999 = 0.0;
-  double setup_seconds = 0.0;
-  double sampling_seconds = 0.0;
-  double sta_seconds = 0.0;
-  double total_seconds = 0.0;
-  std::uint32_t source = 0;      // store::FetchSource as u32
-  std::uint64_t mesh_triangles = 0;
-  std::uint64_t threads_used = 0;
-  std::uint64_t resumed_leases = 0;  // checkpointed runs: leases from ledger
+struct RunSstaRequest {
+  static constexpr MessageType kType = MessageType::kRunSsta;
+  using Reply = RunSstaReply;
+
+  std::string circuit = "c880";
+  std::uint64_t num_samples = 200;
+  std::uint64_t r = 25;
+  std::uint64_t num_eigenpairs = 0;       // 0 = max(2r, 50), as ExperimentConfig
+  double mesh_area_fraction = 0.001;
+  double kernel_c = 0.0;                  // 0 = the paper's fitted value
+  std::uint64_t seed = 1;
+  std::uint64_t num_threads = 0;          // 0 = server default
+  /// Non-empty: run through the checkpointed Monte Carlo runner, keeping a
+  /// durable run ledger under the server's store root (requires the server
+  /// to have a store). resume continues an interrupted run's ledger.
+  std::string run_id;
+  bool resume = false;
+  /// Run as a distributed coordinator: register the lease table for remote
+  /// ClaimLeases/PublishPartial workers and degrade to local compute only
+  /// when they go quiet. Requires a non-empty run_id.
+  bool distributed = false;
+  /// Checkpointing geometry overrides (0 = the McSstaOptions/McRunOptions
+  /// defaults). Part of the ledger header, so they must match on resume.
+  std::uint64_t mc_block_size = 0;
+  std::uint64_t mc_lease_blocks = 0;
+
+  template <typename IO> void fields(IO& io) {
+    io(circuit, num_samples, r, num_eigenpairs, mesh_area_fraction, kernel_c,
+       seed, num_threads, run_id, resume, distributed, mc_block_size,
+       mc_lease_blocks);
+  }
 };
 
-struct StatsReply {
-  std::string json;  // sckl-serve-stats-v1 document
+struct StatsRequest {
+  static constexpr MessageType kType = MessageType::kStats;
+  using Reply = StatsReply;
+  template <typename IO> void fields(IO&) {}
 };
 
-// --- request codecs --------------------------------------------------------
-// encode_* append the payload body to `out`; decode_* consume a ByteReader
-// (construct it with ErrorCode::kProtocol so malformed payloads surface as
-// typed protocol errors, never as crashes).
+struct ShutdownRequest {
+  static constexpr MessageType kType = MessageType::kShutdown;
+  using Reply = ShutdownReply;
+  template <typename IO> void fields(IO&) {}
+};
 
-void encode(std::vector<std::uint8_t>& out, const SolveKleRequest& request);
-void encode(std::vector<std::uint8_t>& out, const SampleBlockRequest& request);
-void encode(std::vector<std::uint8_t>& out, const RunSstaRequest& request);
-void encode(std::vector<std::uint8_t>& out, const ClaimLeasesRequest& request);
-void encode(std::vector<std::uint8_t>& out,
-            const PublishPartialRequest& request);
-void encode(std::vector<std::uint8_t>& out, const HeartbeatRequest& request);
-void encode(std::vector<std::uint8_t>& out, const RunStatusRequest& request);
+/// ClaimLeases: a worker asks the coordinator daemon for up to max_leases
+/// available leases of run_id. config_hash 0 means "not known yet" (the
+/// first claim, before the worker has built its pipeline) — the reply's
+/// spec + config_hash let it build one; any later mismatch is kPrecondition.
+struct ClaimLeasesRequest {
+  static constexpr MessageType kType = MessageType::kClaimLeases;
+  using Reply = ClaimLeasesReply;
 
-SolveKleRequest decode_solve_kle_request(wire::ByteReader& r);
-SampleBlockRequest decode_sample_block_request(wire::ByteReader& r);
-RunSstaRequest decode_run_ssta_request(wire::ByteReader& r);
-ClaimLeasesRequest decode_claim_leases_request(wire::ByteReader& r);
-PublishPartialRequest decode_publish_partial_request(wire::ByteReader& r);
-HeartbeatRequest decode_heartbeat_request(wire::ByteReader& r);
-RunStatusRequest decode_run_status_request(wire::ByteReader& r);
+  std::string run_id;
+  std::uint64_t worker_id = 0;
+  std::uint64_t config_hash = 0;
+  std::uint64_t max_leases = 1;
 
-// --- reply codecs ----------------------------------------------------------
-// Success payloads carry the leading status word; build with make_ok_reply /
-// the typed encoders, or make_error_reply for failures.
+  template <typename IO> void fields(IO& io) {
+    io(run_id, worker_id, config_hash, max_leases);
+  }
+};
+
+struct PublishPartialRequest {
+  static constexpr MessageType kType = MessageType::kPublishPartial;
+  using Reply = PublishPartialReply;
+
+  std::string run_id;
+  std::uint64_t worker_id = 0;
+  std::uint64_t config_hash = 0;
+  WireLease lease;
+  std::vector<std::uint8_t> partial;   // ssta::detail::BlockPartial codec
+
+  template <typename IO> void fields(IO& io) {
+    io(run_id, worker_id, config_hash, lease, partial);
+  }
+};
+
+struct HeartbeatRequest {
+  static constexpr MessageType kType = MessageType::kHeartbeat;
+  using Reply = HeartbeatReply;
+
+  std::string run_id;
+  std::uint64_t worker_id = 0;
+  std::uint64_t config_hash = 0;
+
+  template <typename IO> void fields(IO& io) {
+    io(run_id, worker_id, config_hash);
+  }
+};
+
+struct RunStatusRequest {
+  static constexpr MessageType kType = MessageType::kRunStatus;
+  using Reply = RunStatusReply;
+
+  std::string run_id;
+
+  template <typename IO> void fields(IO& io) { io(run_id); }
+};
+
+/// The type table: every request body, in MessageType order (alternative
+/// i carries type i + 1). The server decodes into it; everything that
+/// dispatches on the message type visits it.
+using AnyRequest =
+    std::variant<HelloRequest, SolveKleRequest, SampleBlockRequest,
+                 RunSstaRequest, StatsRequest, ShutdownRequest,
+                 ClaimLeasesRequest, PublishPartialRequest, HeartbeatRequest,
+                 RunStatusRequest>;
+
+/// True for the message types this build understands.
+bool known_message_type(std::uint32_t type);
+
+// --- the one codec ---------------------------------------------------------
+
+namespace detail {
+
+template <typename T>
+concept WireStruct = requires(T& t, int& io) { t.fields(io); };
+
+/// Appends fields to a payload. Takes the fields of a const message through
+/// fields(), which is non-const only so Reader can share it: Writer never
+/// writes to a field.
+class Writer {
+ public:
+  explicit Writer(std::vector<std::uint8_t>& out) : out_(out) {}
+
+  template <typename... T> void operator()(const T&... v) { (put(v), ...); }
+
+  /// SampleBlockReply's matrix: values.size() f64s with no count prefix,
+  /// written by one tight loop into a buffer reserved once.
+  void row_major(std::uint64_t rows, std::uint64_t cols,
+                 const std::vector<double>& values);
+
+ private:
+  void put(bool v);
+  void put(RunState v);
+  void put(std::uint32_t v);
+  void put(std::uint64_t v);
+  void put(double v);
+  void put(const std::string& v);
+  void put(const std::vector<std::uint8_t>& v);
+  void put(const store::KleArtifactConfig& v);
+  void put(const geometry::Point2& v);
+  void put(const field::SampleRange& v);
+  void put(const StreamKey& v);
+  template <typename T> void put(const std::vector<T>& v) {
+    put(static_cast<std::uint64_t>(v.size()));
+    for (const T& e : v) put(e);
+  }
+  template <WireStruct T> void put(const T& v) {
+    const_cast<T&>(v).fields(*this);
+  }
+
+  std::vector<std::uint8_t>& out_;
+};
+
+/// Decodes fields from a ByteReader. Every count is bounded against the
+/// bytes left before anything is allocated, so a hostile count is a typed
+/// error, never a giant resize.
+class Reader {
+ public:
+  explicit Reader(wire::ByteReader& r) : r_(r) {}
+
+  template <typename... T> void operator()(T&... v) { (get(v), ...); }
+
+  /// Reads rows*cols f64s. Each dimension is bounded before the product is
+  /// formed: hostile header values must not wrap rows * cols past the
+  /// check.
+  void row_major(std::uint64_t rows, std::uint64_t cols,
+                 std::vector<double>& values);
+
+ private:
+  void get(bool& v);
+  void get(RunState& v);  // range-checked: an unknown state is kProtocol
+  void get(std::uint32_t& v);
+  void get(std::uint64_t& v);
+  void get(double& v);
+  void get(std::string& v);
+  void get(std::vector<std::uint8_t>& v);
+  void get(store::KleArtifactConfig& v);
+  void get(geometry::Point2& v);
+  void get(field::SampleRange& v);
+  void get(StreamKey& v);
+  template <typename T> void get(std::vector<T>& v) {
+    const std::uint64_t count = r_.u64();
+    r_.need_count(count, min_wire_size<T>(), "list elements");
+    v.resize(static_cast<std::size_t>(count));
+    for (T& e : v) get(e);
+  }
+  template <WireStruct T> void get(T& v) { v.fields(*this); }
+
+  /// Encoded size of a default T: the smallest any T can encode to (its
+  /// strings and lists empty), hence a safe per-element bound.
+  template <typename T> static std::size_t min_wire_size() {
+    static const std::size_t size = [] {
+      std::vector<std::uint8_t> out;
+      Writer{out}(T{});
+      return out.size();
+    }();
+    return size;
+  }
+
+  wire::ByteReader& r_;
+};
+
+}  // namespace detail
+
+/// Throws kProtocol unless `r` is fully consumed.
+void expect_end(const wire::ByteReader& r);
+
+/// Appends the fields of `message` (no status word) to `out`.
+template <typename Message>
+void encode(std::vector<std::uint8_t>& out, const Message& message) {
+  detail::Writer{out}(message);
+}
+
+/// Decodes a whole message body from `r` (construct it with
+/// ErrorCode::kProtocol): truncation, hostile counts and trailing bytes are
+/// typed protocol errors, never crashes.
+template <typename Message>
+Message decode(wire::ByteReader& r) {
+  Message message;
+  detail::Reader{r}(message);
+  expect_end(r);
+  return message;
+}
+
+/// Decodes the body of a request of a known `type` into its alternative.
+AnyRequest decode_request(MessageType type, wire::ByteReader& r);
+
+/// Payload of a success reply: status 0, then the reply's fields.
+template <typename Reply>
+std::vector<std::uint8_t> encode_reply(const Reply& reply) {
+  std::vector<std::uint8_t> out;
+  wire::put_u32(out, 0);
+  encode(out, reply);
+  return out;
+}
 
 /// Payload of a failure reply: nonzero status (the ErrorCode) + message.
 std::vector<std::uint8_t> make_error_reply(ErrorCode code,
                                            const std::string& message);
 
-/// Payload of an empty success reply (hello body appended separately, etc.).
-std::vector<std::uint8_t> make_ok_reply();
-
-std::vector<std::uint8_t> encode_reply(const HelloReply& reply);
-std::vector<std::uint8_t> encode_reply(const SolveKleReply& reply);
-std::vector<std::uint8_t> encode_reply(const SampleBlockReply& reply);
-std::vector<std::uint8_t> encode_reply(const RunSstaReply& reply);
-std::vector<std::uint8_t> encode_reply(const StatsReply& reply);
-std::vector<std::uint8_t> encode_reply(const ClaimLeasesReply& reply);
-std::vector<std::uint8_t> encode_reply(const PublishPartialReply& reply);
-std::vector<std::uint8_t> encode_reply(const HeartbeatReply& reply);
-std::vector<std::uint8_t> encode_reply(const RunStatusReply& reply);
-
 /// Reads the status word; on a nonzero status reads the message and throws
 /// sckl::Error carrying the server's original ErrorCode.
 void check_reply_status(wire::ByteReader& r);
 
-HelloReply decode_hello_reply(wire::ByteReader& r);
-SolveKleReply decode_solve_kle_reply(wire::ByteReader& r);
-SampleBlockReply decode_sample_block_reply(wire::ByteReader& r);
-RunSstaReply decode_run_ssta_reply(wire::ByteReader& r);
-StatsReply decode_stats_reply(wire::ByteReader& r);
-ClaimLeasesReply decode_claim_leases_reply(wire::ByteReader& r);
-PublishPartialReply decode_publish_partial_reply(wire::ByteReader& r);
-HeartbeatReply decode_heartbeat_reply(wire::ByteReader& r);
-RunStatusReply decode_run_status_reply(wire::ByteReader& r);
+/// Decodes a whole reply payload: status word, then the reply's fields.
+template <typename Reply>
+Reply decode_reply(wire::ByteReader& r) {
+  check_reply_status(r);
+  return decode<Reply>(r);
+}
 
 }  // namespace sckl::serve

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <type_traits>
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <unistd.h>
@@ -37,6 +38,24 @@ void append_kv(std::string& out, const char* key, std::uint64_t value,
   out += "\": ";
   out += std::to_string(value);
   out += comma ? ",\n" : "\n";
+}
+
+/// Sampler identity: SampleBlock requests agreeing on this key share one
+/// constructed sampler (the batching unit and the sampler-cache key).
+std::uint64_t sampler_key(const SampleBlockRequest& request) {
+  store::ContentHasher h;
+  h.update_u64(store::artifact_key(request.config));
+  h.update_u64(request.r);
+  h.update_u64(request.locations.size());
+  for (const geometry::Point2& p : request.locations) {
+    h.update_double(p.x);
+    h.update_double(p.y);
+  }
+  return h.digest();
+}
+
+bool is_sample(const AnyRequest& body) {
+  return std::holds_alternative<SampleBlockRequest>(body);
 }
 
 }  // namespace
@@ -285,78 +304,39 @@ void Server::connection_loop(std::shared_ptr<Connection> conn) {
     Request request;
     request.conn = conn;
     request.header = header;
-    request.type = static_cast<MessageType>(header.type);
     request.deadline = deadline_from(header.deadline_ms,
                                      options_.default_deadline_ms, Clock::now());
     try {
       wire::ByteReader r(payload.data(), payload.size(), ErrorCode::kProtocol,
                          "serve request");
-      switch (request.type) {
-        case MessageType::kHello:
-        case MessageType::kStats:
-        case MessageType::kShutdown:
-          break;  // empty body
-        case MessageType::kSolveKle:
-          request.solve = decode_solve_kle_request(r);
-          break;
-        case MessageType::kSampleBlock: {
-          request.sample = decode_sample_block_request(r);
-          // Bound the work a single request can pin a worker with *before*
-          // admission: admission control only sees the queue, not a worker
-          // stuck generating an unbounded reply. The row check comes first
-          // so the byte product below cannot overflow.
-          if (request.sample->range.count > options_.max_sample_rows) {
-            obs::counter("sckl.serve.rejected.row_limit").add(1);
-            throw Error("sample_block: range.count " +
-                            std::to_string(request.sample->range.count) +
-                            " exceeds the server limit of " +
-                            std::to_string(options_.max_sample_rows) +
-                            " rows per request; split the draw",
-                        ErrorCode::kPrecondition);
-          }
-          const std::uint64_t reply_bytes =
-              static_cast<std::uint64_t>(request.sample->range.count) *
-              request.sample->locations.size() * 8;
-          if (reply_bytes > options_.max_payload_bytes) {
-            obs::counter("sckl.serve.rejected.reply_bytes").add(1);
-            throw Error("sample_block: reply would be " +
-                            std::to_string(reply_bytes) +
-                            " bytes, above the frame payload cap of " +
-                            std::to_string(options_.max_payload_bytes),
-                        ErrorCode::kPrecondition);
-          }
-          // Sampler identity: requests agreeing on this key can share one
-          // constructed sampler (the batching unit).
-          store::ContentHasher h;
-          h.update_u64(store::artifact_key(request.sample->config));
-          h.update_u64(request.sample->r);
-          h.update_u64(request.sample->locations.size());
-          for (const geometry::Point2& p : request.sample->locations) {
-            h.update_double(p.x);
-            h.update_double(p.y);
-          }
-          request.batch_key = h.digest();
-          break;
+      request.body = decode_request(static_cast<MessageType>(header.type), r);
+      if (const auto* sample = std::get_if<SampleBlockRequest>(&request.body)) {
+        // Bound the work a single request can pin a worker with *before*
+        // admission: admission control only sees the queue, not a worker
+        // stuck generating an unbounded reply. The row check comes first
+        // so the byte product below cannot overflow.
+        if (sample->range.count > options_.max_sample_rows) {
+          obs::counter("sckl.serve.rejected.row_limit").add(1);
+          throw Error("sample_block: range.count " +
+                          std::to_string(sample->range.count) +
+                          " exceeds the server limit of " +
+                          std::to_string(options_.max_sample_rows) +
+                          " rows per request; split the draw",
+                      ErrorCode::kPrecondition);
         }
-        case MessageType::kRunSsta:
-          request.ssta = decode_run_ssta_request(r);
-          break;
-        case MessageType::kClaimLeases:
-          request.claim = decode_claim_leases_request(r);
-          break;
-        case MessageType::kPublishPartial:
-          request.publish = decode_publish_partial_request(r);
-          break;
-        case MessageType::kHeartbeat:
-          request.heartbeat = decode_heartbeat_request(r);
-          break;
-        case MessageType::kRunStatus:
-          request.status = decode_run_status_request(r);
-          break;
+        const std::uint64_t reply_bytes =
+            static_cast<std::uint64_t>(sample->range.count) *
+            sample->locations.size() * 8;
+        if (reply_bytes > options_.max_payload_bytes) {
+          obs::counter("sckl.serve.rejected.reply_bytes").add(1);
+          throw Error("sample_block: reply would be " +
+                          std::to_string(reply_bytes) +
+                          " bytes, above the frame payload cap of " +
+                          std::to_string(options_.max_payload_bytes),
+                      ErrorCode::kPrecondition);
+        }
+        request.sampler_key = sampler_key(*sample);
       }
-      if (r.remaining() != 0)
-        throw Error("serve request: trailing bytes after payload",
-                    ErrorCode::kProtocol);
     } catch (const Error& e) {
       obs::counter("sckl.serve.rejected.protocol").add(1);
       send_error(header, e.code(), e.what());
@@ -410,14 +390,13 @@ void Server::worker_loop() {
       queue_.pop_front();
 
       // Copied, not referenced: push_back below may reallocate `batch`.
-      const MessageType head_type = batch.front().type;
-      const std::uint64_t head_key = batch.front().batch_key;
-      if (head_type == MessageType::kSampleBlock && options_.batch_limit > 1) {
+      const bool head_is_sample = is_sample(batch.front().body);
+      const std::uint64_t head_key = batch.front().sampler_key;
+      if (head_is_sample && options_.batch_limit > 1) {
         const auto collect = [&] {
           for (auto it = queue_.begin();
                it != queue_.end() && batch.size() < options_.batch_limit;) {
-            if (it->type == MessageType::kSampleBlock &&
-                it->batch_key == head_key) {
+            if (is_sample(it->body) && it->sampler_key == head_key) {
               batch.push_back(std::move(*it));
               it = queue_.erase(it);
             } else {
@@ -453,7 +432,7 @@ void Server::worker_loop() {
       obs::counter("sckl.serve.batched_requests").add(batch.size());
     }
     try {
-      if (batch.front().type == MessageType::kSampleBlock)
+      if (is_sample(batch.front().body))
         execute_sample_batch(batch);
       else
         execute(batch.front());
@@ -481,50 +460,15 @@ void Server::execute(Request& request) {
     return;
   }
   try {
-    switch (request.type) {
-      case MessageType::kHello: {
-        HelloReply reply;
-        reply.server = options_.server_name;
-        send_payload(request, encode_reply(reply), /*is_error=*/false);
-        break;
-      }
-      case MessageType::kSolveKle:
-        send_payload(request, encode_reply(do_solve(*request.solve)),
-                     /*is_error=*/false);
-        break;
-      case MessageType::kRunSsta:
-        send_payload(request, encode_reply(do_run_ssta(*request.ssta, request)),
-                     /*is_error=*/false);
-        break;
-      case MessageType::kStats: {
-        StatsReply reply;
-        reply.json = stats_json();
-        send_payload(request, encode_reply(reply), /*is_error=*/false);
-        break;
-      }
-      case MessageType::kShutdown:
-        send_payload(request, make_ok_reply(), /*is_error=*/false);
-        request_stop();
-        break;
-      case MessageType::kClaimLeases:
-        send_payload(request, encode_reply(do_claim_leases(*request.claim)),
-                     /*is_error=*/false);
-        break;
-      case MessageType::kPublishPartial:
-        send_payload(request, encode_reply(do_publish_partial(*request.publish)),
-                     /*is_error=*/false);
-        break;
-      case MessageType::kHeartbeat:
-        send_payload(request, encode_reply(do_heartbeat(*request.heartbeat)),
-                     /*is_error=*/false);
-        break;
-      case MessageType::kRunStatus:
-        send_payload(request, encode_reply(do_run_status(*request.status)),
-                     /*is_error=*/false);
-        break;
-      case MessageType::kSampleBlock:
-        break;  // handled by execute_sample_batch
-    }
+    std::visit(
+        [&](const auto& body) {
+          using Body = std::decay_t<decltype(body)>;
+          if constexpr (!std::is_same_v<Body, SampleBlockRequest>)
+            send_payload(request, encode_reply(handle(body, request)),
+                         /*is_error=*/false);
+        },
+        request.body);
+    if (std::holds_alternative<ShutdownRequest>(request.body)) request_stop();
   } catch (const Error& e) {
     if (e.code() == ErrorCode::kDeadlineExceeded)
       obs::counter("sckl.serve.rejected.deadline").add(1);
@@ -539,7 +483,8 @@ void Server::execute_sample_batch(std::vector<Request>& batch) {
   // One sampler lookup/construction serves the whole batch.
   std::shared_ptr<const field::KleFieldSampler> sampler;
   try {
-    sampler = sampler_for(*batch.front().sample);
+    sampler = sampler_for(std::get<SampleBlockRequest>(batch.front().body),
+                          batch.front().sampler_key);
   } catch (const Error& e) {
     for (Request& request : batch) reply_error(request, e.code(), e.what());
     return;
@@ -553,7 +498,7 @@ void Server::execute_sample_batch(std::vector<Request>& batch) {
     obs::Span span("serve.sample_block");
     span.set_tag(request.header.request_id);
     obs::Stopwatch watch;
-    const SampleBlockRequest& body = *request.sample;
+    const SampleBlockRequest& body = std::get<SampleBlockRequest>(request.body);
     try {
       SampleBlockReply reply;
       reply.rows = body.range.count;
@@ -594,7 +539,21 @@ void Server::execute_sample_batch(std::vector<Request>& batch) {
   }
 }
 
-SolveKleReply Server::do_solve(const SolveKleRequest& request) {
+HelloReply Server::handle(const HelloRequest&, const Request&) {
+  HelloReply reply;
+  reply.server = options_.server_name;
+  return reply;
+}
+
+StatsReply Server::handle(const StatsRequest&, const Request&) {
+  return StatsReply{stats_json()};
+}
+
+ShutdownReply Server::handle(const ShutdownRequest&, const Request&) {
+  return {};  // execute() flags the stop once the acknowledgement is sent
+}
+
+SolveKleReply Server::handle(const SolveKleRequest& request, const Request&) {
   const auto kernel =
       store::make_kernel(request.config.kernel_id, request.config.kernel_params);
   // Concurrent cold solves of the same key dedup through the store's
@@ -612,16 +571,7 @@ SolveKleReply Server::do_solve(const SolveKleRequest& request) {
 }
 
 std::shared_ptr<const field::KleFieldSampler> Server::sampler_for(
-    const SampleBlockRequest& request) {
-  store::ContentHasher h;
-  h.update_u64(store::artifact_key(request.config));
-  h.update_u64(request.r);
-  h.update_u64(request.locations.size());
-  for (const geometry::Point2& p : request.locations) {
-    h.update_double(p.x);
-    h.update_double(p.y);
-  }
-  const std::uint64_t key = h.digest();
+    const SampleBlockRequest& request, std::uint64_t key) {
   if (auto cached = sampler_cache_.get(key)) {
     obs::counter("sckl.serve.sampler_cache.hits").add(1);
     return cached;
@@ -643,8 +593,8 @@ std::shared_ptr<const field::KleFieldSampler> Server::sampler_for(
   return sampler;
 }
 
-RunSstaReply Server::do_run_ssta(const RunSstaRequest& request,
-                                 const Request& envelope) {
+RunSstaReply Server::handle(const RunSstaRequest& request,
+                            const Request& envelope) {
   ssta::ExperimentConfig config;
   config.circuit = request.circuit;
   config.num_samples = static_cast<std::size_t>(request.num_samples);
@@ -712,28 +662,37 @@ RunSstaReply Server::do_run_ssta(const RunSstaRequest& request,
     // destroyed (also on the exception path). Unregistration keeps the
     // entry, flipped to the terminal state, so late workers observe
     // kComplete rather than kUnknown.
-    run.share_coordinator = [this, run_id = request.run_id, config, m](
+    run.share_coordinator = [this, request, m](
                                 ssta::LeaseCoordinator* coordinator,
                                 const ssta::LedgerHeader* header) {
       if (coordinator != nullptr && header != nullptr) {
         auto dist = std::make_shared<DistRun>();
         dist->coordinator = coordinator;
-        dist->header = *header;
-        dist->config_hash = header->workload_key;
-        dist->circuit = config.circuit;
-        dist->seed = config.seed;
-        dist->r = config.r;
-        dist->num_eigenpairs = m;
-        dist->mesh_area_fraction = config.mesh_area_fraction;
-        dist->kernel_c = config.kernel_c;
+        ClaimLeasesReply& spec = dist->spec;
+        spec.run_state = RunState::kRunning;
+        spec.config_hash = header->workload_key;
+        spec.circuit = request.circuit;
+        spec.seed = request.seed;
+        spec.r = request.r;
+        spec.num_eigenpairs = m;
+        spec.mesh_area_fraction = request.mesh_area_fraction;
+        spec.kernel_c = request.kernel_c;
+        spec.num_samples = header->num_samples;
+        spec.block_size = header->block_size;
+        spec.lease_blocks = header->lease_blocks;
+        spec.mc_seed = header->seed;
+        spec.sketch_capacity = header->sketch_capacity;
+        spec.num_endpoints = header->num_endpoints;
+        spec.lease_ttl_ms = options_.lease_ttl_ms;
+        spec.heartbeat_interval_ms = options_.heartbeat_interval_ms;
         std::lock_guard<std::mutex> lock(dist_mu_);
-        dist_runs_[run_id] = dist;  // a resumed run replaces its old entry
+        dist_runs_[request.run_id] = dist;  // a resumed run replaces its entry
         obs::counter("sckl.ssta.mc.remote.runs_registered").add(1);
       } else {
         std::shared_ptr<DistRun> dist;
         {
           std::lock_guard<std::mutex> lock(dist_mu_);
-          const auto it = dist_runs_.find(run_id);
+          const auto it = dist_runs_.find(request.run_id);
           if (it != dist_runs_.end()) dist = it->second;
         }
         if (dist) {
@@ -742,7 +701,6 @@ RunSstaReply Server::do_run_ssta(const RunSstaRequest& request,
           // until the pointer is safe to retire.
           std::lock_guard<std::mutex> lock(dist->mu);
           dist->coordinator = nullptr;
-          dist->complete = true;
         }
       }
     };
@@ -775,60 +733,41 @@ std::shared_ptr<Server::DistRun> Server::find_dist_run(
 }
 
 void Server::check_config_hash(const DistRun& run, std::uint64_t claimed) {
-  if (claimed != 0 && claimed != run.config_hash)
+  if (claimed != 0 && claimed != run.spec.config_hash)
     throw Error("distributed mc: worker config_hash " +
                     std::to_string(claimed) + " does not match this run's " +
-                    std::to_string(run.config_hash) +
+                    std::to_string(run.spec.config_hash) +
                     " — the worker is computing a different workload and "
                     "its partials must never reach the ledger",
                 ErrorCode::kPrecondition);
 }
 
-ClaimLeasesReply Server::do_claim_leases(const ClaimLeasesRequest& request) {
-  ClaimLeasesReply reply;
+ClaimLeasesReply Server::handle(const ClaimLeasesRequest& request,
+                                const Request&) {
   if (request.worker_id == 0)
     throw Error("claim_leases: worker_id must be nonzero (0 is the "
                 "coordinator's own claim marker)",
                 ErrorCode::kPrecondition);
   const std::shared_ptr<DistRun> run = find_dist_run(request.run_id);
-  if (!run) return reply;  // kUnknown
+  if (!run) return {};  // kUnknown
   std::lock_guard<std::mutex> lock(run->mu);
   check_config_hash(*run, request.config_hash);
+  ClaimLeasesReply reply;
   if (run->coordinator == nullptr) {
     reply.run_state = RunState::kComplete;
     return reply;
   }
-  reply.run_state = RunState::kRunning;
-  reply.config_hash = run->config_hash;
-  reply.circuit = run->circuit;
-  reply.seed = run->seed;
-  reply.r = run->r;
-  reply.num_eigenpairs = run->num_eigenpairs;
-  reply.mesh_area_fraction = run->mesh_area_fraction;
-  reply.kernel_c = run->kernel_c;
-  reply.num_samples = run->header.num_samples;
-  reply.block_size = run->header.block_size;
-  reply.lease_blocks = run->header.lease_blocks;
-  reply.mc_seed = run->header.seed;
-  reply.sketch_capacity = run->header.sketch_capacity;
-  reply.num_endpoints = run->header.num_endpoints;
-  reply.lease_ttl_ms = options_.lease_ttl_ms;
-  reply.heartbeat_interval_ms = options_.heartbeat_interval_ms;
+  reply = run->spec;
   const std::size_t max_leases =
       std::max<std::size_t>(1, static_cast<std::size_t>(request.max_leases));
   for (const ssta::ClaimedLease& lease :
-       run->coordinator->claim_remote(request.worker_id, max_leases)) {
-    WireLease wire_lease;
-    wire_lease.index = lease.index;
-    wire_lease.first_block = lease.first_block;
-    wire_lease.num_blocks = lease.num_blocks;
-    reply.leases.push_back(wire_lease);
-  }
+       run->coordinator->claim_remote(request.worker_id, max_leases))
+    reply.leases.push_back({lease.index, lease.first_block, lease.num_blocks});
   return reply;
 }
 
-PublishPartialReply Server::do_publish_partial(
-    const PublishPartialRequest& request) {
+PublishPartialReply Server::handle(const PublishPartialRequest& request,
+                                   const Request&) {
   PublishPartialReply reply;
   const std::shared_ptr<DistRun> run = find_dist_run(request.run_id);
   if (!run) {
@@ -851,9 +790,7 @@ PublishPartialReply Server::do_publish_partial(
                      ErrorCode::kProtocol, "publish_partial body");
   const ssta::detail::BlockPartial partial =
       ssta::detail::BlockPartial::decode(r);
-  if (r.remaining() != 0)
-    throw Error("publish_partial: trailing bytes after the encoded partial",
-                ErrorCode::kProtocol);
+  expect_end(r);
   reply.accepted = run->coordinator->publish_remote(
       request.worker_id, static_cast<std::size_t>(request.lease.index),
       static_cast<std::size_t>(request.lease.first_block),
@@ -861,7 +798,8 @@ PublishPartialReply Server::do_publish_partial(
   return reply;
 }
 
-HeartbeatReply Server::do_heartbeat(const HeartbeatRequest& request) {
+HeartbeatReply Server::handle(const HeartbeatRequest& request,
+                              const Request&) {
   HeartbeatReply reply;
   const std::shared_ptr<DistRun> run = find_dist_run(request.run_id);
   if (!run) return reply;  // kUnknown
@@ -876,21 +814,22 @@ HeartbeatReply Server::do_heartbeat(const HeartbeatRequest& request) {
   return reply;
 }
 
-RunStatusReply Server::do_run_status(const RunStatusRequest& request) {
+RunStatusReply Server::handle(const RunStatusRequest& request,
+                              const Request&) {
   RunStatusReply reply;
   const std::shared_ptr<DistRun> run = find_dist_run(request.run_id);
   if (!run) return reply;  // kUnknown
   std::lock_guard<std::mutex> lock(run->mu);
-  reply.config_hash = run->config_hash;
+  const ClaimLeasesReply& spec = run->spec;
+  reply.config_hash = spec.config_hash;
   const std::uint64_t blocks =
-      run->header.block_size == 0
+      spec.block_size == 0
           ? 0
-          : (run->header.num_samples + run->header.block_size - 1) /
-                run->header.block_size;
+          : (spec.num_samples + spec.block_size - 1) / spec.block_size;
   const std::uint64_t total =
-      run->header.lease_blocks == 0
+      spec.lease_blocks == 0
           ? 0
-          : (blocks + run->header.lease_blocks - 1) / run->header.lease_blocks;
+          : (blocks + spec.lease_blocks - 1) / spec.lease_blocks;
   reply.leases_total = total;
   if (run->coordinator == nullptr) {
     reply.run_state = RunState::kComplete;

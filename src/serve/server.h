@@ -197,17 +197,11 @@ class Server {
   struct Request {
     std::shared_ptr<Connection> conn;
     wire::FrameHeader header;
-    MessageType type = MessageType::kHello;
     std::optional<std::chrono::steady_clock::time_point> deadline;
-    // Exactly the member matching `type` is populated.
-    std::optional<SolveKleRequest> solve;
-    std::optional<SampleBlockRequest> sample;
-    std::optional<RunSstaRequest> ssta;
-    std::optional<ClaimLeasesRequest> claim;
-    std::optional<PublishPartialRequest> publish;
-    std::optional<HeartbeatRequest> heartbeat;
-    std::optional<RunStatusRequest> status;
-    std::uint64_t batch_key = 0;  // SampleBlock: sampler identity hash
+    AnyRequest body;
+    /// SampleBlock: the sampler identity hash, computed once at decode —
+    /// the batching unit and the sampler-cache key.
+    std::uint64_t sampler_key = 0;
   };
 
   /// A cached, mutex-serialized SSTA pipeline (one per distinct config).
@@ -223,20 +217,14 @@ class Server {
   /// coordinator is destroyed — a claim/publish/heartbeat handler holding
   /// the shared_ptr either sees a live pointer and finishes before the
   /// unregister can proceed, or sees nullptr and answers from the terminal
-  /// state. The spec fields are copies, valid for the entry's lifetime.
+  /// state.
   struct DistRun {
     std::mutex mu;
-    ssta::LeaseCoordinator* coordinator = nullptr;
-    ssta::LedgerHeader header;      // sampling geometry, verbatim
-    std::uint64_t config_hash = 0;  // == header.workload_key
-    // Workload spec a worker needs to rebuild the pipeline.
-    std::string circuit;
-    std::uint64_t seed = 0;           // ExperimentConfig seed
-    std::uint64_t r = 0;
-    std::uint64_t num_eigenpairs = 0;  // resolved m
-    double mesh_area_fraction = 0.0;
-    double kernel_c = 0.0;
-    bool complete = false;  // coordinator finished and unregistered
+    ssta::LeaseCoordinator* coordinator = nullptr;  // nullptr = complete
+    /// The running-state ClaimLeases reply less its leases: the workload
+    /// spec and the ledger's sampling geometry, built once at registration
+    /// and handed verbatim to every claim.
+    ClaimLeasesReply spec;
   };
 
   void accept_loop(int listen_fd);
@@ -252,13 +240,23 @@ class Server {
 
   void execute(Request& request);
   void execute_sample_batch(std::vector<Request>& batch);
-  SolveKleReply do_solve(const SolveKleRequest& request);
-  RunSstaReply do_run_ssta(const RunSstaRequest& request,
-                           const Request& envelope);
-  ClaimLeasesReply do_claim_leases(const ClaimLeasesRequest& request);
-  PublishPartialReply do_publish_partial(const PublishPartialRequest& request);
-  HeartbeatReply do_heartbeat(const HeartbeatRequest& request);
-  RunStatusReply do_run_status(const RunStatusRequest& request);
+
+  /// One handler per request type except SampleBlock (which is batched);
+  /// execute() visits the request body and replies with the result.
+  HelloReply handle(const HelloRequest& request, const Request& envelope);
+  SolveKleReply handle(const SolveKleRequest& request, const Request& envelope);
+  RunSstaReply handle(const RunSstaRequest& request, const Request& envelope);
+  StatsReply handle(const StatsRequest& request, const Request& envelope);
+  ShutdownReply handle(const ShutdownRequest& request,
+                       const Request& envelope);
+  ClaimLeasesReply handle(const ClaimLeasesRequest& request,
+                          const Request& envelope);
+  PublishPartialReply handle(const PublishPartialRequest& request,
+                             const Request& envelope);
+  HeartbeatReply handle(const HeartbeatRequest& request,
+                        const Request& envelope);
+  RunStatusReply handle(const RunStatusRequest& request,
+                        const Request& envelope);
 
   /// Looks up a registered distributed run (nullptr when unknown). The
   /// caller must lock the entry's own mutex before touching `coordinator`.
@@ -267,7 +265,7 @@ class Server {
   /// yet, always accepted); throws kPrecondition on mismatch.
   static void check_config_hash(const DistRun& run, std::uint64_t claimed);
   std::shared_ptr<const field::KleFieldSampler> sampler_for(
-      const SampleBlockRequest& request);
+      const SampleBlockRequest& request, std::uint64_t key);
 
   void send_payload(const Request& request,
                     const std::vector<std::uint8_t>& payload, bool is_error);

@@ -16,32 +16,6 @@
 namespace sckl::ssta {
 namespace {
 
-/// Computes one lease's partial: the fold, in block order, of its blocks'
-/// partials (resume invariant #1). `samples_out` is the keep_samples
-/// buffer of a ledgerless run, else null.
-detail::BlockPartial compute_lease_partial(const timing::StaEngine& engine,
-                                           const ParameterSamplers& samplers,
-                                           const McSstaOptions& options,
-                                           const Lease& lease,
-                                           std::size_t num_endpoints,
-                                           detail::BlockScratch& scratch,
-                                           std::vector<double>* samples_out) {
-  static obs::Counter& blocks_computed = obs::counter("sckl.ssta.mc.blocks");
-  detail::BlockPartial lease_partial;
-  lease_partial.worst_delay_sketch = QuantileSketch(options.sketch_capacity);
-  detail::BlockPartial block_partial;
-  for (std::size_t b = 0; b < lease.num_blocks; ++b) {
-    robust::crash_point(robust::FaultSite::kMcWorkerCrash);
-    block_partial = detail::BlockPartial{};
-    detail::compute_block_partial(engine, samplers, options,
-                                  lease.first_block + b, num_endpoints,
-                                  scratch, block_partial, samples_out);
-    lease_partial.merge(block_partial);
-    blocks_computed.add(1);
-  }
-  return lease_partial;
-}
-
 /// Opens the run's ledger and replays it into `leases`: a fresh ledger gets
 /// its header record; an existing one must carry exactly `header`, and
 /// each lease record marks its lease complete (first record per lease wins
@@ -228,12 +202,13 @@ McSstaResult run_leases(const timing::StaEngine& engine,
         if (distributed) continue;  // all claimed and live: keep waiting
         break;
       }
+      const Lease& lease = coordinator.leases()[l];
       coordinator.publish(
           l,
-          compute_lease_partial(engine, samplers, options,
-                                coordinator.leases()[l], num_endpoints,
-                                scratch,
-                                options.keep_samples ? &samples : nullptr),
+          *detail::compute_lease_partial(
+              engine, samplers, options, lease.first_block, lease.num_blocks,
+              num_endpoints, scratch,
+              options.keep_samples ? &samples : nullptr),
           mc_span_id);
       if (distributed)
         obs::counter("sckl.ssta.mc.remote.local_fallback").add(1);

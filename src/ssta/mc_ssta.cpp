@@ -2,7 +2,9 @@
 
 #include <algorithm>
 
+#include "obs/metrics.h"
 #include "obs/stopwatch.h"
+#include "robust/fault_injection.h"
 
 namespace sckl::ssta {
 
@@ -91,6 +93,28 @@ void compute_block_partial(const timing::StaEngine& engine,
       partial.endpoint[e].add(timing_result.endpoint_arrival[e]);
   }
   partial.sta_seconds = sta.seconds();
+}
+
+std::optional<BlockPartial> compute_lease_partial(
+    const timing::StaEngine& engine, const ParameterSamplers& samplers,
+    const McSstaOptions& options, std::size_t first_block,
+    std::size_t num_blocks, std::size_t num_endpoints, BlockScratch& scratch,
+    std::vector<double>* samples_out,
+    const std::function<bool()>& before_block) {
+  static obs::Counter& blocks_computed = obs::counter("sckl.ssta.mc.blocks");
+  BlockPartial lease_partial;
+  lease_partial.worst_delay_sketch = QuantileSketch(options.sketch_capacity);
+  BlockPartial block_partial;
+  for (std::size_t b = 0; b < num_blocks; ++b) {
+    robust::crash_point(robust::FaultSite::kMcWorkerCrash);
+    if (before_block && !before_block()) return std::nullopt;
+    block_partial = BlockPartial{};
+    compute_block_partial(engine, samplers, options, first_block + b,
+                          num_endpoints, scratch, block_partial, samples_out);
+    lease_partial.merge(block_partial);
+    blocks_computed.add(1);
+  }
+  return lease_partial;
 }
 
 }  // namespace detail

@@ -26,6 +26,7 @@
 #include <array>
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <vector>
 
 #include "common/statistics.h"
@@ -131,6 +132,20 @@ void compute_block_partial(const timing::StaEngine& engine,
                            std::size_t num_endpoints, BlockScratch& scratch,
                            BlockPartial& partial,
                            std::vector<double>* samples_out);
+
+/// Computes one lease's partial: the fold, in block order, of the partials
+/// of blocks [first_block, first_block + num_blocks) — resume invariant #1
+/// of mc_run.h. Every claimer (local threads, remote workers) computes
+/// leases through this one fold. `before_block`, when set, runs before each
+/// block (heartbeats, liveness checks); returning false abandons the lease
+/// and yields nullopt, since an incomplete partial must never be published.
+/// `samples_out` is as for compute_block_partial.
+std::optional<BlockPartial> compute_lease_partial(
+    const timing::StaEngine& engine, const ParameterSamplers& samplers,
+    const McSstaOptions& options, std::size_t first_block,
+    std::size_t num_blocks, std::size_t num_endpoints, BlockScratch& scratch,
+    std::vector<double>* samples_out,
+    const std::function<bool()>& before_block = {});
 
 /// Number of blocks a run partitions into.
 inline std::size_t num_blocks_for(const McSstaOptions& options) {
